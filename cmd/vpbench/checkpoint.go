@@ -273,7 +273,7 @@ func runCheckpoint(ds workload.Dataset, sc bench.Scale, seed int64, procs int, o
 				return err
 			}
 		}
-		readsBefore := s.IO().Reads
+		readsBefore := s.Stats().Reads
 		searchStart := time.Now()
 		searches := 0
 		for round := 0; round < 3; round++ {
@@ -293,7 +293,7 @@ func runCheckpoint(ds workload.Dataset, sc bench.Scale, seed int64, procs int, o
 			Searches:       searches,
 			Seconds:        seconds,
 			SearchesPerSec: float64(searches) / seconds,
-			PoolMisses:     s.IO().Reads - readsBefore,
+			PoolMisses:     s.Stats().Reads - readsBefore,
 		}
 		rep.Search = append(rep.Search, res)
 		fmt.Printf("  search via %-5s %5d searches, %7.3fs, %8.1f searches/s (%d pool misses, mmap active %v)\n",

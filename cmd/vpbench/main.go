@@ -216,8 +216,8 @@ func runStore(ds workload.Dataset, sc bench.Scale, seed int64) error {
 		return err
 	}
 	loadDur := time.Since(loadStart)
-	fmt.Printf("store: batch-loaded %d objects into %s in %v (%.0f reports/s)\n",
-		store.Len(), store.Name(), loadDur.Round(time.Millisecond),
+	fmt.Printf("store: batch-loaded %d objects into bx (partitioned=%v) in %v (%.0f reports/s)\n",
+		store.Len(), store.Partitioned(), loadDur.Round(time.Millisecond),
 		float64(store.Len())/loadDur.Seconds())
 
 	queries := gen.Queries(sc.Queries)

@@ -15,10 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// monitorResult is one engine's throughput measurement of the continuous-
-// query experiment.
+// monitorResult is the throughput measurement of the continuous-query
+// experiment.
 type monitorResult struct {
-	Engine        string  `json:"engine"` // "store" (native) or "legacy" (NewMonitor wrapper)
 	Goroutines    int     `json:"goroutines"`
 	Ops           int     `json:"ops"`
 	Seconds       float64 `json:"seconds"`
@@ -29,8 +28,9 @@ type monitorResult struct {
 
 // monitorReport is the BENCH_monitor.json schema: the continuous-query
 // datapoint of the repo's perf trajectory — mixed report throughput at K
-// standing subscriptions, Store-native subscription engine vs the legacy
-// single-lock NewMonitor wrapper.
+// standing subscriptions served by the Store's subscription engine. (The
+// committed BENCH_monitor.json predates this schema: it also records the
+// removed single-lock wrapper as a baseline and their speedup ratio.)
 type monitorReport struct {
 	Experiment    string          `json:"experiment"`
 	Dataset       string          `json:"dataset"`
@@ -38,24 +38,16 @@ type monitorReport struct {
 	Subscriptions int             `json:"subscriptions"`
 	GoMaxProcs    int             `json:"gomaxprocs"`
 	Results       []monitorResult `json:"results"`
-	SpeedupMixed  float64         `json:"speedup_mixed"`
 }
 
 // runMonitor measures continuous-query serving under a concurrent mixed
 // workload (7:1 ID-keyed reports to predictive range searches) with K
-// standing subscriptions registered. Both engines run over identically
-// configured velocity-partitioned Bx Stores loaded with the same fleet:
-//
-//   - "legacy" drives every report through NewMonitor(store).ProcessReport —
-//     one wrapper mutex re-serializing the sharded write path, and every
-//     report exact-tested against all K subscriptions.
-//   - "store" drives the same reports through store.Report with the K
-//     subscriptions registered Store-natively — evaluation sharded like the
-//     write path, and the velocity-class spatial filter reducing each
-//     report to the subscriptions it could actually affect — while a
-//     consumer goroutine drains the async Events() stream.
-//
-// Results go to stdout and to the JSON report at outPath.
+// standing subscriptions registered on a velocity-partitioned Bx Store:
+// reports go through store.Report — evaluation sharded like the write path,
+// and the velocity-class spatial filter reducing each report to the
+// subscriptions it could actually affect — while a consumer goroutine
+// drains the async Events() stream. Results go to stdout and to the JSON
+// report at outPath.
 func runMonitor(ds workload.Dataset, sc bench.Scale, seed int64, procs, subsN int, outPath string) error {
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
@@ -98,128 +90,84 @@ func runMonitor(ds workload.Dataset, sc bench.Scale, seed int64, procs, subsN in
 		subsList[i] = mkSub()
 	}
 
-	// Both engines pay the same index cost per report; this experiment
-	// isolates the continuous-query evaluation on top of it, so the page
-	// cache is sized generously (identically for both) — a thrashing
+	// This experiment isolates the continuous-query evaluation on top of
+	// the index cost, so the page cache is sized generously — a thrashing
 	// 10-page pool would just dilute the quantity being measured under
 	// simulated I/O that the concurrency experiment already covers.
 	buffer := sc.Buffer
 	if buffer < 64 {
 		buffer = 64
 	}
-	openLoaded := func() (*vpindex.Store, error) {
-		store, err := vpindex.Open(
-			vpindex.WithKind(vpindex.Bx),
-			vpindex.WithDomain(p.Domain),
-			vpindex.WithShards(procs),
-			vpindex.WithBufferPages(buffer),
-			vpindex.WithMaxUpdateInterval(p.Duration),
-			vpindex.WithVelocityPartitioning(2),
-			vpindex.WithVelocitySample(sample),
-			vpindex.WithSeed(seed),
-			vpindex.WithEventBuffer(8192, vpindex.DropOldest),
-		)
-		if err != nil {
-			return nil, err
-		}
-		return store, store.ReportBatch(objs)
+	store, err := vpindex.Open(
+		vpindex.WithKind(vpindex.Bx),
+		vpindex.WithDomain(p.Domain),
+		vpindex.WithShards(procs),
+		vpindex.WithBufferPages(buffer),
+		vpindex.WithMaxUpdateInterval(p.Duration),
+		vpindex.WithVelocityPartitioning(2),
+		vpindex.WithVelocitySample(sample),
+		vpindex.WithSeed(seed),
+		vpindex.WithEventBuffer(8192, vpindex.DropOldest),
+	)
+	if err != nil {
+		return err
+	}
+	if err := store.ReportBatch(objs); err != nil {
+		return err
 	}
 
+	var (
+		events  atomic.Int64
+		stop    = make(chan struct{})
+		drained sync.WaitGroup
+	)
+	ch := store.Events()
+	drained.Add(1)
+	go func() {
+		defer drained.Done()
+		for {
+			select {
+			case <-ch:
+				events.Add(1)
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for _, s := range subsList {
+		if _, _, err := store.Subscribe(s, 0); err != nil {
+			return err
+		}
+	}
+	ran, seconds, err := hammerMonitor(store, objs, procs, 2*len(objs), seed)
+	close(stop)
+	drained.Wait()
+	if err != nil {
+		return err
+	}
+	// Count whatever was still buffered when the consumer stopped.
+	for len(ch) > 0 {
+		<-ch
+		events.Add(1)
+	}
+	r := monitorResult{
+		Goroutines:    procs,
+		Ops:           ran,
+		Seconds:       seconds,
+		OpsPerSec:     float64(ran) / seconds,
+		Events:        events.Load(),
+		DroppedEvents: store.DroppedEvents(),
+	}
 	rep := monitorReport{
 		Experiment:    "monitor",
 		Dataset:       string(ds),
 		Objects:       len(objs),
 		Subscriptions: subsN,
 		GoMaxProcs:    procs,
+		Results:       []monitorResult{r},
 	}
-	totalOps := 2 * len(objs)
-	tput := map[string]float64{}
-
-	for _, engine := range []string{"legacy", "store"} {
-		store, err := openLoaded()
-		if err != nil {
-			return err
-		}
-		var (
-			events  atomic.Int64
-			report  func(o vpindex.Object) error
-			stop    = make(chan struct{})
-			drained sync.WaitGroup
-		)
-		switch engine {
-		case "legacy":
-			mon := vpindex.NewMonitor(store)
-			// Count subscribe seeds too: the store engine delivers its
-			// seeds to the Events() stream, so both Events fields cover
-			// the same delta population and are comparable.
-			for _, s := range subsList {
-				_, seed, err := mon.Subscribe(s, 0)
-				if err != nil {
-					return err
-				}
-				events.Add(int64(len(seed)))
-			}
-			report = func(o vpindex.Object) error {
-				evs, err := mon.ProcessReport(o)
-				events.Add(int64(len(evs)))
-				return err
-			}
-		case "store":
-			ch := store.Events()
-			drained.Add(1)
-			go func() {
-				defer drained.Done()
-				for {
-					select {
-					case <-ch:
-						events.Add(1)
-					case <-stop:
-						return
-					}
-				}
-			}()
-			for _, s := range subsList {
-				if _, _, err := store.Subscribe(s, 0); err != nil {
-					return err
-				}
-			}
-			report = store.Report
-		}
-
-		ran, seconds, err := hammerMonitor(store, report, objs, procs, totalOps, seed)
-		close(stop)
-		drained.Wait()
-		if err != nil {
-			return err
-		}
-		// Count whatever was still buffered when the consumer stopped.
-		if engine == "store" {
-			for {
-				select {
-				case <-store.Events():
-					events.Add(1)
-					continue
-				default:
-				}
-				break
-			}
-		}
-		r := monitorResult{
-			Engine:        engine,
-			Goroutines:    procs,
-			Ops:           ran,
-			Seconds:       seconds,
-			OpsPerSec:     float64(ran) / seconds,
-			Events:        events.Load(),
-			DroppedEvents: store.DroppedEvents(),
-		}
-		tput[engine] = r.OpsPerSec
-		rep.Results = append(rep.Results, r)
-		fmt.Printf("monitor: %-6s  %d subs, %7d ops, %8.3fs, %9.0f ops/s, %7d events\n",
-			engine, subsN, ran, seconds, r.OpsPerSec, r.Events)
-	}
-	rep.SpeedupMixed = tput["store"] / tput["legacy"]
-	fmt.Printf("monitor: store-native speedup over legacy wrapper: %.2fx mixed\n\n", rep.SpeedupMixed)
+	fmt.Printf("monitor: %d subs, %7d ops, %8.3fs, %9.0f ops/s, %7d events\n\n",
+		subsN, ran, seconds, r.OpsPerSec, r.Events)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -233,10 +181,8 @@ func runMonitor(ds workload.Dataset, sc bench.Scale, seed int64, procs, subsN in
 }
 
 // hammerMonitor runs ~ops operations of the 7:1 report:search mix across g
-// goroutines, reporting through the engine-specific report verb and
-// searching through the Store directly (searches don't touch subscription
-// state on either engine).
-func hammerMonitor(store *vpindex.Store, report func(vpindex.Object) error, objs []vpindex.Object, g, ops int, seed int64) (int, float64, error) {
+// goroutines.
+func hammerMonitor(store *vpindex.Store, objs []vpindex.Object, g, ops int, seed int64) (int, float64, error) {
 	var (
 		wg      sync.WaitGroup
 		errOnce sync.Mutex
@@ -283,7 +229,7 @@ func hammerMonitor(store *vpindex.Store, report func(vpindex.Object) error, objs
 				}
 				o := objs[rng.Intn(len(objs))]
 				o.Pos = vpindex.V(rng.Float64()*side, rng.Float64()*side)
-				if err := report(o); err != nil {
+				if err := store.Report(o); err != nil {
 					fail(err)
 					return
 				}

@@ -14,25 +14,25 @@ import (
 	"repro/internal/workload"
 )
 
-// scanResult is one (engine, shards, goroutines) measurement of the scan
+// scanResult is one (shards, goroutines) measurement of the scan
 // experiment.
 type scanResult struct {
-	Engine      string  `json:"engine"` // "legacy" (descent per interval) or "batched" (ScanMany)
 	Shards      int     `json:"shards"`
 	Goroutines  int     `json:"goroutines"`
 	Ops         int     `json:"ops"`
 	Seconds     float64 `json:"seconds"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	IOPerSearch float64 `json:"io_reads_per_search"`
-	// HitsPerSearch counts buffer-pool hits per query: the page touches the
-	// batched leaf walk saves are mostly cached internal nodes, so the
-	// engines separate here even when their miss counts are close.
+	// HitsPerSearch counts buffer-pool hits per query: most page touches of
+	// the leaf walk are cached internal nodes, which misses do not show.
 	HitsPerSearch float64 `json:"hits_per_search"`
 }
 
 // scanReport is the BENCH_scan.json schema: the query-hot-path datapoint of
-// the repo's perf trajectory — the batched leaf-walk scan engine plus the
-// lock-striped buffer pool against the per-interval descent baseline.
+// the repo's perf trajectory — the batched leaf-walk scan engine over the
+// lock-striped buffer pool, single-threaded and across the shard axis. (The
+// committed BENCH_scan.json predates this schema: it also records the
+// removed per-interval descent path as a baseline and their speedups.)
 type scanReport struct {
 	Experiment    string       `json:"experiment"`
 	Dataset       string       `json:"dataset"`
@@ -41,26 +41,17 @@ type scanReport struct {
 	DiskLatencyUS float64      `json:"disk_latency_us"`
 	GoMaxProcs    int          `json:"gomaxprocs"`
 	Results       []scanResult `json:"results"`
-	// SpeedupBatchedParallel is batched vs legacy search throughput at the
-	// full worker count on shards=N — the headline number.
-	SpeedupBatchedParallel float64 `json:"speedup_batched_parallel"`
-	// SpeedupBatchedSingle is the same ratio single-threaded on shards=1 at
-	// zero injected latency (CPU-bound: with latency, a single thread is
-	// sleep-bound for either engine and a CPU regression would not show).
-	// It must stay >= 1 (no sequential regression).
-	SpeedupBatchedSingle float64 `json:"speedup_batched_single"`
-	// SpeedupShards is batched-engine throughput at shards=N over shards=1,
-	// both at the full worker count (the striped-pool/fan-out axis).
+	// SpeedupShards is search throughput at shards=N over shards=1, both at
+	// the full worker count (the striped-pool/fan-out axis).
 	SpeedupShards float64 `json:"speedup_shards"`
 }
 
 // runScan measures the batched leaf-walk scan engine (bptree.ScanMany under
-// bxtree.searchBucket) against the legacy per-interval descent path on a
-// search-only workload: G goroutines issuing predictive range queries
-// against a velocity-partitioned Bx Store with simulated per-page disk
-// latency. Engines are toggled by WithLegacyScan — same Store, same data,
-// same queries — across shards=1 and shards=N. Results go to stdout and to
-// the JSON report at outPath.
+// bxtree.searchBucket) on a search-only workload: G goroutines issuing
+// predictive range queries against a velocity-partitioned Bx Store with
+// simulated per-page disk latency, across shards=1 and shards=N, plus one
+// single-threaded run at zero latency. Results go to stdout and to the JSON
+// report at outPath.
 func runScan(ds workload.Dataset, sc bench.Scale, seed int64, procs int, latency time.Duration, outPath string) error {
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
@@ -105,22 +96,18 @@ func runScan(ds workload.Dataset, sc bench.Scale, seed int64, procs int, latency
 	}
 
 	searchOps := 3 * len(objs) / 8
-	open := func(engine string, shards int, lat time.Duration) (*vpindex.Store, error) {
-		opts := []vpindex.Option{
+	open := func(shards int, lat time.Duration) (*vpindex.Store, error) {
+		store, err := vpindex.Open(
 			vpindex.WithKind(vpindex.Bx),
 			vpindex.WithDomain(p.Domain),
 			vpindex.WithShards(shards),
-			vpindex.WithBufferPages(totalPages / (shards * 3)),
+			vpindex.WithBufferPages(totalPages/(shards*3)),
 			vpindex.WithDiskLatency(lat),
 			vpindex.WithMaxUpdateInterval(p.Duration),
 			vpindex.WithVelocityPartitioning(2),
 			vpindex.WithVelocitySample(sample),
 			vpindex.WithSeed(seed),
-		}
-		if engine == "legacy" {
-			opts = append(opts, vpindex.WithLegacyScan())
-		}
-		store, err := vpindex.Open(opts...)
+		)
 		if err != nil {
 			return nil, err
 		}
@@ -129,13 +116,12 @@ func runScan(ds workload.Dataset, sc bench.Scale, seed int64, procs int, latency
 		}
 		return store, nil
 	}
-	measure := func(store *vpindex.Store, engine string, shards, g, ops int) (scanResult, error) {
+	measure := func(store *vpindex.Store, shards, g, ops int) (scanResult, error) {
 		ran, seconds, reads, hits, err := hammerSearch(store, p.Domain, g, ops, seed)
 		if err != nil {
 			return scanResult{}, err
 		}
 		r := scanResult{
-			Engine:        engine,
 			Shards:        shards,
 			Goroutines:    g,
 			Ops:           ran,
@@ -145,50 +131,39 @@ func runScan(ds workload.Dataset, sc bench.Scale, seed int64, procs int, latency
 			HitsPerSearch: float64(hits) / float64(ran),
 		}
 		rep.Results = append(rep.Results, r)
-		fmt.Printf("scan: engine=%-7s shards=%-3d g=%-3d %7d ops, %8.3fs, %9.0f ops/s, %7.1f reads + %8.1f hits /search\n",
-			engine, shards, g, ran, seconds, r.OpsPerSec, r.IOPerSearch, r.HitsPerSearch)
+		fmt.Printf("scan: shards=%-3d g=%-3d %7d ops, %8.3fs, %9.0f ops/s, %7.1f reads + %8.1f hits /search\n",
+			shards, g, ran, seconds, r.OpsPerSec, r.IOPerSearch, r.HitsPerSearch)
 		return r, nil
 	}
 
-	// Single-threaded axis, zero injected latency: one thread under latency
-	// is sleep-bound for either engine (their miss counts match here), so a
-	// CPU regression — what this datapoint guards against — would be
-	// invisible; measuring CPU-bound makes it the strict test.
-	tputSingle := map[string]float64{}
-	for _, engine := range []string{"legacy", "batched"} {
-		store, err := open(engine, 1, 0)
-		if err != nil {
-			return err
-		}
-		r, err := measure(store, engine, 1, 1, searchOps/4)
-		if err != nil {
-			return err
-		}
-		tputSingle[engine] = r.OpsPerSec
+	// Single-threaded, zero injected latency: one thread under latency is
+	// sleep-bound, so a CPU regression would be invisible; measuring
+	// CPU-bound makes it the strict datapoint.
+	store, err := open(1, 0)
+	if err != nil {
+		return err
+	}
+	if _, err := measure(store, 1, 1, searchOps/4); err != nil {
+		return err
 	}
 
 	// Parallel axis with injected latency: the sleeps overlap across the
 	// workers, so throughput is bounded by scan CPU and lock contention —
 	// the costs the batched engine and the striped pool attack.
-	tput := map[string]map[int]float64{"legacy": {}, "batched": {}}
+	tput := map[int]float64{}
 	for _, shards := range []int{1, procs} {
-		for _, engine := range []string{"legacy", "batched"} {
-			store, err := open(engine, shards, latency)
-			if err != nil {
-				return err
-			}
-			r, err := measure(store, engine, shards, procs, searchOps)
-			if err != nil {
-				return err
-			}
-			tput[engine][shards] = r.OpsPerSec
+		store, err := open(shards, latency)
+		if err != nil {
+			return err
 		}
+		r, err := measure(store, shards, procs, searchOps)
+		if err != nil {
+			return err
+		}
+		tput[shards] = r.OpsPerSec
 	}
-	rep.SpeedupBatchedParallel = tput["batched"][procs] / tput["legacy"][procs]
-	rep.SpeedupBatchedSingle = tputSingle["batched"] / tputSingle["legacy"]
-	rep.SpeedupShards = tput["batched"][procs] / tput["batched"][1]
-	fmt.Printf("scan: batched over legacy: %.2fx at %d workers (shards=%d), %.2fx single-threaded; shards=%d over 1: %.2fx\n\n",
-		rep.SpeedupBatchedParallel, procs, procs, rep.SpeedupBatchedSingle, procs, rep.SpeedupShards)
+	rep.SpeedupShards = tput[procs] / tput[1]
+	fmt.Printf("scan: shards=%d over 1: %.2fx at %d workers\n\n", procs, rep.SpeedupShards, procs)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

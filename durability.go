@@ -250,21 +250,20 @@ func (s *Store) durableApply(t wal.Type, encode func(dst []byte) []byte, apply f
 	return trip, nil
 }
 
-// durableApplyObject is durableApply specialized to the hot verbs whose
-// record is one encoded object (Report, Insert, Update): the encode step is
-// inlined over the pooled buffer and the apply half is a method expression
-// instead of a per-call closure, so the uncoalesced single-record path
-// allocates nothing per record in steady state.
-func (s *Store) durableApplyObject(t wal.Type, o Object, apply func(*Store, Object) (bool, error)) (bool, error) {
+// durableReport is durableApply specialized to Report, the hot verb: the
+// encode step is inlined over the pooled buffer and the apply half is a
+// direct call instead of a per-call closure, so the uncoalesced
+// single-record path allocates nothing per record in steady state.
+func (s *Store) durableReport(o Object) (bool, error) {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
-		return apply(s, o)
+		return s.applyReport(o)
 	}
 	if herr := s.writeAllowed(); herr != nil {
 		return false, herr
 	}
 	d.commitMu.RLock()
-	trip, err := apply(s, o)
+	trip, err := s.applyReport(o)
 	if err != nil {
 		d.commitMu.RUnlock()
 		s.noteIOFault(err)
@@ -272,7 +271,7 @@ func (s *Store) durableApplyObject(t wal.Type, o Object, apply func(*Store, Obje
 	}
 	buf := wal.GetBuf()
 	*buf = wal.AppendObject((*buf)[:0], o)
-	lsn, werr := d.wal.Append(t, *buf)
+	lsn, werr := d.wal.Append(wal.TypeReport, *buf)
 	d.commitMu.RUnlock()
 	wal.PutBuf(buf)
 	if werr != nil {

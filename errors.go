@@ -7,9 +7,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Sentinel errors returned by the Store and by the deprecated Index/VPIndex
-// wrappers. They are re-exported from the shared internal data model, so a
-// value that bubbled up from any layer of the system matches here.
+// Sentinel errors returned by the Store. They are re-exported from the
+// internal layers, so a value that bubbled up from any layer of the system
+// matches here.
 //
 // All call sites wrap these with context (object IDs, partition names), so
 // test with errors.Is, never with equality:
@@ -19,10 +19,6 @@ var (
 	// ErrNotFound reports that no record with the given ID is indexed
 	// (Remove/Get-style misses, updates of unknown objects).
 	ErrNotFound = model.ErrNotFound
-	// ErrDuplicate reports a strict Insert of an ID that is already
-	// indexed. Report never returns it: reporting an existing ID is an
-	// update.
-	ErrDuplicate = model.ErrDuplicate
 	// ErrUnsupported reports an operation the configured index structure
 	// does not implement.
 	ErrUnsupported = model.ErrUnsupported

@@ -57,9 +57,9 @@ func ExampleOpen() {
 	// hits: [7]
 }
 
-// Example demonstrates the deprecated constructor workflow: analyze a
-// velocity sample, build the partitioned index, insert linear movers, and
-// ask a predictive range query. New code should use Open (see ExampleOpen).
+// Example demonstrates velocity partitioning with an upfront sample:
+// analyze the velocities, open a partitioned Store, report linear movers,
+// and ask predictive range and nearest-neighbor queries.
 func Example() {
 	// Velocities concentrated on two perpendicular road directions.
 	rng := rand.New(rand.NewSource(1))
@@ -73,42 +73,30 @@ func Example() {
 		}
 	}
 
-	idx, err := vpindex.NewVP(sample, vpindex.VPOptions{
-		Options: vpindex.Options{Kind: vpindex.TPRStar},
-		K:       2,
-		Seed:    42,
-	})
+	store, err := vpindex.Open(
+		vpindex.WithKind(vpindex.TPRStar),
+		vpindex.WithVelocitySample(sample),
+		vpindex.WithSeed(42),
+	)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("partitions:", idx.NumPartitions()) // 2 DVAs + outlier
+	fmt.Println("partitions:", len(store.Partitions())) // 2 DVAs + outlier
 
 	// An eastbound car reported at t=0.
-	_ = idx.Insert(vpindex.Object{ID: 7, Pos: vpindex.V(1000, 500), Vel: vpindex.V(50, 0), T: 0})
+	_ = store.Report(vpindex.Object{ID: 7, Pos: vpindex.V(1000, 500), Vel: vpindex.V(50, 0), T: 0})
 
 	// Who is within 100 m of (3500, 500) at time 50? (The car will be at
 	// x = 1000 + 50*50 = 3500.)
-	ids, _ := idx.Search(vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(3500, 500), R: 100}, 0, 50))
+	ids, _ := store.Search(vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(3500, 500), R: 100}, 0, 50))
 	fmt.Println("hits:", ids)
 
 	// Its single nearest neighbor at that time is itself.
-	ns, _ := idx.SearchKNN(vpindex.KNNQuery{Center: vpindex.V(3500, 500), K: 1, Now: 0, T: 50})
+	ns, _ := store.SearchKNN(vpindex.KNNQuery{Center: vpindex.V(3500, 500), K: 1, Now: 0, T: 50})
 	fmt.Println("nearest:", ns[0].ID)
 
 	// Output:
 	// partitions: 3
 	// hits: [7]
 	// nearest: 7
-}
-
-// ExampleNew shows the unpartitioned baselines.
-func ExampleNew() {
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.Bx})
-	if err != nil {
-		panic(err)
-	}
-	_ = idx.Insert(vpindex.Object{ID: 1, Pos: vpindex.V(100, 100), Vel: vpindex.V(0, 10), T: 0})
-	ids, _ := idx.Search(vpindex.RectSliceQuery(vpindex.R(50, 1000, 150, 1200), 0, 100))
-	fmt.Println(ids)
-	// Output: [1]
 }

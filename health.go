@@ -134,7 +134,7 @@ func (s *Store) healthErr(sentinel error) error {
 // health state machine. Transient faults were already retried below and never
 // reach here with IsTransient true after exhaustion (the retry wrapper strips
 // transience), so anything still transient — or not a storage fault at all
-// (ErrNotFound, ErrDuplicate, validation errors) — is left alone. Called
+// (ErrNotFound, validation errors) — is left alone. Called
 // after all Store locks are released.
 func (s *Store) noteIOFault(err error) {
 	if err == nil {

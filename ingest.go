@@ -36,10 +36,9 @@ import (
 // Ordering: the FIFO drain preserves per-object order (two Reports of the
 // same object hash to the same shard and apply in drain order, and the
 // earlier one is never drained later than the second). Cross-verb order is
-// preserved by flush barriers: Remove/Insert/Update/ReportBatch, Checkpoint,
-// and Close first wait for every previously enqueued Report to be
-// acknowledged, so the exclusive commit-lock semantics and the recovery
-// invariants are untouched. During recovery replay the coalescer is bypassed
+// preserved by flush barriers: Remove, ReportBatch, Checkpoint, and Close
+// first wait for every previously enqueued Report to be acknowledged, so the
+// exclusive commit-lock semantics and the recovery invariants are untouched. During recovery replay the coalescer is bypassed
 // entirely (replayed records must not re-batch), and a disabled coalescer
 // leaves Report on the direct path.
 //
@@ -383,7 +382,7 @@ type IngestStats struct {
 	CoalescedBatches int64
 	CoalescedRecords int64
 	// FlushBarriers counts barrier waits run by the non-Report write verbs
-	// (Insert/Update/Remove/ReportBatch), Checkpoint, and Close.
+	// (Remove, ReportBatch), Checkpoint, and Close.
 	FlushBarriers int64
 }
 

@@ -80,8 +80,8 @@ func TestCoalescedReportBasic(t *testing.T) {
 
 // TestCoalescerDifferentialOracle is the coalescer's -race differential
 // oracle: N concurrent writers drive the coalesced store with a mixed
-// Report/Remove/Update/Insert stream (the non-Report verbs crossing the
-// flush barrier) while a maintenance goroutine forces repartition swaps
+// Report/Remove/ReportBatch/Checkpoint stream (the non-Report verbs crossing
+// the flush barrier) while a maintenance goroutine forces repartition swaps
 // under the load; each writer owns a disjoint ID range, so replaying its
 // interleaving through a brute-force shadow map is exact. The final store
 // state must equal the shadow, and — for the durable variant — must survive
@@ -131,23 +131,20 @@ func TestCoalescerDifferentialOracle(t *testing.T) {
 						if err == nil {
 							delete(shadow[w], o.ID)
 						}
-					case i%23 == 17: // Update: barrier + strict not-found
-						err := store.Update(vpindex.Object{ID: o.ID}, o)
-						if err != nil && !errors.Is(err, vpindex.ErrNotFound) {
-							errs <- fmt.Errorf("writer %d update: %w", w, err)
+					case i%23 == 17: // ReportBatch: a flush-barrier verb
+						o2 := testObject(base+1+rng.Intn(idsPer), rng)
+						o2.T = o.T
+						if err := store.ReportBatch([]vpindex.Object{o, o2}); err != nil {
+							errs <- fmt.Errorf("writer %d report batch: %w", w, err)
 							return
 						}
-						if err == nil {
-							shadow[w][o.ID] = o
-						}
-					case i%23 == 5: // Insert: barrier + strict duplicate
-						err := store.Insert(o)
-						if err != nil && !errors.Is(err, vpindex.ErrDuplicate) {
-							errs <- fmt.Errorf("writer %d insert: %w", w, err)
+						// Same ID means same shard: o2 applies after o.
+						shadow[w][o.ID] = o
+						shadow[w][o2.ID] = o2
+					case i%23 == 5 && dir != "": // Checkpoint: a flush barrier
+						if err := store.Checkpoint(); err != nil {
+							errs <- fmt.Errorf("writer %d checkpoint: %w", w, err)
 							return
-						}
-						if err == nil {
-							shadow[w][o.ID] = o
 						}
 					default:
 						if err := store.Report(o); err != nil {
@@ -373,12 +370,8 @@ func TestCoalescingCounters(t *testing.T) {
 		t.Fatalf("after %d sequential reports: %+v", reports, ing)
 	}
 
-	if err := store.Insert(testObject(100, rng)); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-	o5 := testObject(5, rng)
-	if err := store.Update(vpindex.Object{ID: 5}, o5); err != nil {
-		t.Fatalf("update: %v", err)
+	if err := store.ReportBatch([]vpindex.Object{testObject(100, rng)}); err != nil {
+		t.Fatalf("report batch: %v", err)
 	}
 	if err := store.Remove(100); err != nil {
 		t.Fatalf("remove: %v", err)
@@ -390,8 +383,8 @@ func TestCoalescingCounters(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	ing, _ = store.IngestStats()
-	if ing.FlushBarriers != 5 {
-		t.Fatalf("after insert+update+remove+batch+checkpoint: barriers = %d, want 5", ing.FlushBarriers)
+	if ing.FlushBarriers != 4 {
+		t.Fatalf("after batch+remove+batch+checkpoint: barriers = %d, want 4", ing.FlushBarriers)
 	}
 	if ing.CoalescedBatches != reports || ing.CoalescedRecords != reports {
 		t.Fatalf("barrier verbs must not count as coalesced: %+v", ing)

@@ -17,9 +17,13 @@ import (
 	"strings"
 	"time"
 
-	vpindex "repro"
+	"repro/internal/analysis/cluster"
+	"repro/internal/bxtree"
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/model"
+	"repro/internal/storage"
+	"repro/internal/tprtree"
 	"repro/internal/workload"
 )
 
@@ -39,13 +43,8 @@ func AllSetups() []Setup { return []Setup{SetupBx, SetupBxVP, SetupTPR, SetupTPR
 // IsVP reports whether the setup uses velocity partitioning.
 func (s Setup) IsVP() bool { return s == SetupBxVP || s == SetupTPRVP }
 
-// Kind returns the base index kind.
-func (s Setup) Kind() vpindex.Kind {
-	if s == SetupBx || s == SetupBxVP {
-		return vpindex.Bx
-	}
-	return vpindex.TPRStar
-}
+// isBx reports whether the setup's base structure is the Bx-tree.
+func (s Setup) isBx() bool { return s == SetupBx || s == SetupBxVP }
 
 // Scale controls experiment size. Reduced scales must preserve two ratios
 // or the paper's effects vanish into cache noise: the *object density*
@@ -90,32 +89,88 @@ func PaperScale() Scale {
 	return Scale{Objects: 100000, Queries: 200, Duration: 240, DomainSide: 100000, Buffer: 50}
 }
 
-// Instrumented is an index whose buffer pool can be snapshooted.
-type Instrumented interface {
+// Index is one built setup: the base tree, or the partition manager over
+// per-partition trees, plus the single buffer pool every structure of the
+// setup reads through. One shared pool is the paper's configuration — the
+// 50-page RAM budget of Table 1 covers the whole index — and its miss
+// counter is the "query I/O" every figure plots.
+type Index struct {
 	model.Index
-	Stats() vpindex.IOStats
+	Pool *storage.BufferPool
 }
+
+// reads returns the pool's cumulative misses.
+func (ix *Index) reads() int64 { return ix.Pool.Stats().Misses }
 
 // Build constructs one of the four setups for the given workload generator.
 // VP setups analyze the generator's velocity sample first.
-func Build(s Setup, gen *workload.Generator, bufferPages int) (Instrumented, error) {
+func Build(s Setup, gen *workload.Generator, bufferPages int) (*Index, error) {
+	return specFor(s, gen, bufferPages).build()
+}
+
+// spec is everything needed to assemble one setup from the layers.
+type spec struct {
+	setup  Setup
+	domain geom.Rect
+	sample []geom.Vec2 // velocity sample analyzed by VP setups
+	seed   int64       // k-means seed of the analysis
+	buffer int         // shared buffer pool pages
+	bx     bxtree.Config
+	tpr    tprtree.Config
+}
+
+// specFor configures a setup for a workload: the trees are tuned to the
+// workload's maximum update interval (the Bx-tree's bucket rotation, the
+// TPR*-tree's cost horizon) and VP setups draw the generator's sample.
+func specFor(s Setup, gen *workload.Generator, bufferPages int) spec {
 	p := gen.Params()
-	opts := vpindex.Options{
-		Kind:              s.Kind(),
-		Domain:            p.Domain,
-		BufferPages:       bufferPages,
-		MaxUpdateInterval: p.MaxUpdateInterval,
-		Horizon:           p.MaxUpdateInterval,
+	sp := spec{
+		setup:  s,
+		domain: p.Domain,
+		seed:   p.Seed,
+		buffer: bufferPages,
+		bx:     bxtree.Config{MaxUpdateInterval: p.MaxUpdateInterval},
+		tpr:    tprtree.Config{Horizon: p.MaxUpdateInterval},
 	}
-	if !s.IsVP() {
-		return vpindex.New(opts)
+	if s.IsVP() {
+		sp.sample = gen.VelocitySample(p.SampleSize)
 	}
-	sample := gen.VelocitySample(p.SampleSize)
-	return vpindex.NewVP(sample, vpindex.VPOptions{
-		Options: opts,
-		K:       2,
-		Seed:    p.Seed,
-	})
+	return sp
+}
+
+// build assembles the setup: one buffer pool over a simulated disk shared
+// by every tree, and — for VP setups — the DVA analysis of the sample
+// (k = 2, the paper's setting) behind a partition manager. The manager
+// probes its partitions sequentially: parallel probing would make the
+// shared pool's eviction order, and with it the I/O metric, depend on
+// goroutine scheduling.
+func (sp spec) build() (*Index, error) {
+	pool := storage.NewBufferPool(storage.NewDisk(), sp.buffer)
+	base := func(domain geom.Rect) (model.Index, error) {
+		if sp.setup.isBx() {
+			cfg := sp.bx
+			cfg.Domain = domain
+			return bxtree.NewTree(pool, cfg)
+		}
+		return tprtree.NewTree(pool, sp.tpr)
+	}
+	if !sp.setup.IsVP() {
+		idx, err := base(sp.domain)
+		if err != nil {
+			return nil, err
+		}
+		return &Index{Index: idx, Pool: pool}, nil
+	}
+	an, err := core.Analyze(sp.sample, core.AnalyzerConfig{K: 2, Cluster: cluster.Options{Seed: sp.seed}})
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := core.NewManager(an, core.ManagerConfig{Domain: sp.domain, SearchParallelism: 1},
+		func(ps core.PartitionSpec) (model.Index, error) { return base(ps.Domain) })
+	if err != nil {
+		return nil, err
+	}
+	return &Index{Index: mgr, Pool: pool}, nil
 }
 
 // Metrics aggregates one setup's measured costs over a workload run.
@@ -146,7 +201,7 @@ func Run(s Setup, gen *workload.Generator, bufferPages int) (Metrics, error) {
 
 // RunOn replays the workload against a pre-built index (used by the
 // fixed-tau sweep, which tweaks the index before loading).
-func RunOn(idx Instrumented, s Setup, gen *workload.Generator) (Metrics, error) {
+func RunOn(idx *Index, s Setup, gen *workload.Generator) (Metrics, error) {
 	m := Metrics{Setup: s, Dataset: gen.Params().Dataset}
 
 	loadStart := time.Now()
@@ -162,14 +217,14 @@ func RunOn(idx Instrumented, s Setup, gen *workload.Generator) (Metrics, error) 
 	var totalResults int64
 
 	runQuery := func(q model.RangeQuery) error {
-		before := idx.Stats()
+		before := idx.reads()
 		t0 := time.Now()
 		ids, err := idx.Search(q)
 		if err != nil {
 			return err
 		}
 		m.QueryMs += time.Since(t0).Seconds() * 1000
-		m.QueryIO += float64(idx.Stats().Reads - before.Reads)
+		m.QueryIO += float64(idx.reads() - before)
 		m.Queries++
 		totalResults += int64(len(ids))
 		return nil
@@ -186,13 +241,13 @@ func RunOn(idx Instrumented, s Setup, gen *workload.Generator) (Metrics, error) 
 			}
 			qi++
 		}
-		before := idx.Stats()
+		before := idx.reads()
 		t0 := time.Now()
 		if err := idx.Update(ev.Old, ev.New); err != nil {
 			return m, fmt.Errorf("bench: update %v at t=%g: %w", ev.Old.ID, ev.T, err)
 		}
 		m.UpdateMs += time.Since(t0).Seconds() * 1000
-		m.UpdateIO += float64(idx.Stats().Reads - before.Reads)
+		m.UpdateIO += float64(idx.reads() - before)
 		m.Updates++
 	}
 	for ; qi < len(queries); qi++ {

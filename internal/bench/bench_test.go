@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	vpindex "repro"
 	"repro/internal/model"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -193,7 +193,7 @@ func TestMetricsOnBrokenWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunOn(rejectingIndex{}, SetupBx, gen)
+	_, err = RunOn(&Index{Index: rejectingIndex{}, Pool: storage.NewBufferPool(storage.NewDisk(), 8)}, SetupBx, gen)
 	if err == nil {
 		t.Fatal("expected error from rejecting index")
 	}
@@ -208,7 +208,6 @@ func (rejectingIndex) Search(model.RangeQuery) ([]model.ObjectID, error) { retur
 func (rejectingIndex) Len() int                                          { return 0 }
 func (rejectingIndex) IO() model.IOStats                                 { return model.IOStats{} }
 func (rejectingIndex) Name() string                                      { return "reject" }
-func (rejectingIndex) Stats() vpindex.IOStats                            { return vpindex.IOStats{} }
 
 var errRejected = errString("rejected")
 

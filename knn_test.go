@@ -7,16 +7,16 @@ import (
 
 	vpindex "repro"
 	"repro/internal/model"
+	"repro/internal/workload"
 )
 
 // knnOracleCheck verifies an index's kNN results against the brute-force
 // oracle. Distances must agree exactly in order; ids may differ only
 // within exact-tie groups.
-func knnOracleCheck(t *testing.T, idx interface {
-	SearchKNN(vpindex.KNNQuery) ([]vpindex.Neighbor, error)
-}, oracle *model.BruteForce, q vpindex.KNNQuery) {
+func knnOracleCheck(t *testing.T, search func(vpindex.KNNQuery) ([]vpindex.Neighbor, error),
+	oracle *model.BruteForce, q vpindex.KNNQuery) {
 	t.Helper()
-	got, err := idx.SearchKNN(q)
+	got, err := search(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,74 +43,28 @@ func knnOracleCheck(t *testing.T, idx interface {
 	}
 }
 
-func knnFleet(n int, seed int64) []vpindex.Object {
-	rng := rand.New(rand.NewSource(seed))
-	objs := make([]vpindex.Object, n)
-	for i := range objs {
-		speed := 20 + rng.Float64()*80
-		if rng.Intn(2) == 0 {
-			speed = -speed
-		}
-		vel := vpindex.V(speed, rng.NormFloat64()*2)
-		if i%2 == 0 {
-			vel = vpindex.V(rng.NormFloat64()*2, speed)
-		}
-		if i%17 == 0 {
-			vel = vpindex.V(rng.Float64()*160-80, rng.Float64()*160-80)
-		}
-		objs[i] = vpindex.Object{
-			ID:  vpindex.ObjectID(i + 1),
-			Pos: vpindex.V(rng.Float64()*100000, rng.Float64()*100000),
-			Vel: vel,
-			T:   0,
-		}
-	}
-	return objs
-}
-
+// TestKNNAgainstOracleAllIndexes checks kNN answers of the harness's four
+// setups and of a velocity-partitioned Store against the brute-force
+// oracle on a road-network fleet.
 func TestKNNAgainstOracleAllIndexes(t *testing.T) {
-	objs := knnFleet(3000, 5)
-	sample := make([]vpindex.Vec2, len(objs))
-	for i, o := range objs {
-		sample[i] = o.Vel
+	p := workload.DefaultParams(workload.Chicago, 3000)
+	p.Seed = 5
+	gen, err := workload.NewGenerator(p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	oracle := model.NewBruteForce()
-	for _, o := range objs {
+	for _, o := range gen.Initial() {
 		_ = oracle.Insert(o)
 	}
-
-	type knnIndex interface {
-		SearchKNN(vpindex.KNNQuery) ([]vpindex.Neighbor, error)
-		Insert(vpindex.Object) error
-	}
-	builds := map[string]func() (knnIndex, error){
-		"tpr": func() (knnIndex, error) {
-			return vpindex.New(vpindex.Options{Kind: vpindex.TPRStar, BufferPages: 200})
-		},
-		"bx": func() (knnIndex, error) {
-			return vpindex.New(vpindex.Options{Kind: vpindex.Bx, BufferPages: 200})
-		},
-		"tpr-vp": func() (knnIndex, error) {
-			return vpindex.NewVP(sample, vpindex.VPOptions{
-				Options: vpindex.Options{Kind: vpindex.TPRStar, BufferPages: 200}, K: 2, Seed: 1,
-			})
-		},
-		"bx-vp": func() (knnIndex, error) {
-			return vpindex.NewVP(sample, vpindex.VPOptions{
-				Options: vpindex.Options{Kind: vpindex.Bx, BufferPages: 200}, K: 2, Seed: 1,
-			})
-		},
-	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			idx, err := build()
-			if err != nil {
+	for _, su := range oracleSetups {
+		t.Run(su.name, func(t *testing.T) {
+			idx := buildOracleIndex(t, su, gen, 200,
+				vpindex.WithVelocitySample(gen.VelocitySample(p.SampleSize)),
+				vpindex.WithSeed(1),
+			)
+			if err := idx.load(gen.Initial()); err != nil {
 				t.Fatal(err)
-			}
-			for _, o := range objs {
-				if err := idx.Insert(o); err != nil {
-					t.Fatal(err)
-				}
 			}
 			rng := rand.New(rand.NewSource(9))
 			for trial := 0; trial < 25; trial++ {
@@ -120,14 +74,14 @@ func TestKNNAgainstOracleAllIndexes(t *testing.T) {
 					Now:    0,
 					T:      rng.Float64() * 120,
 				}
-				knnOracleCheck(t, idx, oracle, q)
+				knnOracleCheck(t, idx.knn, oracle, q)
 			}
 		})
 	}
 }
 
 func TestKNNEdgeCases(t *testing.T) {
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.TPRStar})
+	idx, err := vpindex.Open(vpindex.WithKind(vpindex.TPRStar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +99,7 @@ func TestKNNEdgeCases(t *testing.T) {
 	}
 	// k exceeding population returns everything.
 	for i := 0; i < 5; i++ {
-		_ = idx.Insert(vpindex.Object{ID: vpindex.ObjectID(i + 1),
+		_ = idx.Report(vpindex.Object{ID: vpindex.ObjectID(i + 1),
 			Pos: vpindex.V(float64(i)*100, 0), Vel: vpindex.V(1, 0), T: 0})
 	}
 	ns, err = idx.SearchKNN(vpindex.KNNQuery{Center: vpindex.V(0, 0), K: 50, Now: 0, T: 0})
@@ -166,7 +120,7 @@ func TestKNNEdgeCases(t *testing.T) {
 func TestKNNBxSparseFallback(t *testing.T) {
 	// A Bx kNN where almost everything is far away forces radius doubling
 	// (and possibly the full-scan fallback).
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.Bx})
+	idx, err := vpindex.Open(vpindex.WithKind(vpindex.Bx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +133,9 @@ func TestKNNBxSparseFallback(t *testing.T) {
 			Vel: vpindex.V(1, 0),
 			T:   0,
 		}
-		_ = idx.Insert(o)
+		_ = idx.Report(o)
 		_ = oracle.Insert(o)
 	}
 	q := vpindex.KNNQuery{Center: vpindex.V(0, 0), K: 3, Now: 0, T: 60}
-	knnOracleCheck(t, idx, oracle, q)
+	knnOracleCheck(t, idx.SearchKNN, oracle, q)
 }

@@ -33,8 +33,8 @@ const (
 const DefaultAutoPartitionSample = 10_000
 
 // DefaultDriftThreshold is the axis-drift angle (radians, ~11.5 degrees)
-// past which the adaptive repartition policy rebuilds the partitions when no
-// explicit WithDriftThreshold is given.
+// past which the adaptive repartition policy rebuilds the partitions when
+// RepartitionPolicy.DriftThreshold is unset.
 const DefaultDriftThreshold = 0.2
 
 // RepartitionPolicy configures adaptive online repartitioning (Section 5.5
@@ -65,10 +65,9 @@ type RepartitionPolicy struct {
 type Option func(*storeConfig)
 
 // storeConfig is the resolved configuration behind Open's functional
-// options. The base-index knobs reuse the Options struct of the deprecated
-// constructor API so both surfaces stay in lockstep.
+// options.
 type storeConfig struct {
-	base Options
+	base baseConfig
 
 	// k > 0, a velocity sample, or an auto-partition threshold all enable
 	// velocity partitioning; Open normalizes the trio.
@@ -76,7 +75,6 @@ type storeConfig struct {
 	sample []Vec2
 	autoN  int
 
-	tauBuckets int
 	tauRefresh int
 	seed       int64
 
@@ -164,62 +162,29 @@ func NewFaultInjector(killAtSync int64) *FaultInjector {
 
 // WithKind selects the base index structure for every partition (default
 // TPRStar).
-func WithKind(k Kind) Option { return func(c *storeConfig) { c.base.Kind = k } }
+func WithKind(k Kind) Option { return func(c *storeConfig) { c.base.kind = k } }
 
 // WithDomain sets the data space (default 100,000 x 100,000 m, Table 1).
-func WithDomain(r Rect) Option { return func(c *storeConfig) { c.base.Domain = r } }
+func WithDomain(r Rect) Option { return func(c *storeConfig) { c.base.domain = r } }
 
 // WithBufferPages sizes each LRU buffer pool in pages (default 50, Table 1).
 // The Store creates one pool per index structure — one per shard while
 // unpartitioned, one per velocity partition per shard afterwards, i.e.
 // shards × (k+1) pools — so the total page cache is n times that count, not
-// n. (The deprecated New/NewVP constructors keep one shared n-page pool.)
-func WithBufferPages(n int) Option { return func(c *storeConfig) { c.base.BufferPages = n } }
+// n.
+func WithBufferPages(n int) Option { return func(c *storeConfig) { c.base.bufferPages = n } }
 
 // WithDiskLatency injects a delay per simulated physical page access so
 // execution time tracks I/O like a disk would; 0 (default) disables it.
 func WithDiskLatency(d time.Duration) Option {
-	return func(c *storeConfig) { c.base.DiskLatency = d }
+	return func(c *storeConfig) { c.base.diskLatency = d }
 }
-
-// WithHorizon sets the TPR*-tree cost-integral horizon (default 120 ts).
-func WithHorizon(h float64) Option { return func(c *storeConfig) { c.base.Horizon = h } }
-
-// WithQueryExtent sets the query side length the TPR*-tree optimizes for
-// (default 1000 m).
-func WithQueryExtent(e float64) Option { return func(c *storeConfig) { c.base.QueryExtent = e } }
-
-// WithGridOrder sets the Bx-tree curve grid's bits per axis (default 8).
-func WithGridOrder(bits uint) Option { return func(c *storeConfig) { c.base.GridOrder = bits } }
-
-// WithTimeBuckets sets the Bx-tree's time-bucket count (default 2).
-func WithTimeBuckets(n int) Option { return func(c *storeConfig) { c.base.Buckets = n } }
 
 // WithMaxUpdateInterval sets the guaranteed max time between an object's
 // updates, which sizes the Bx-tree's bucket rotation (default 120 ts).
 func WithMaxUpdateInterval(d float64) Option {
-	return func(c *storeConfig) { c.base.MaxUpdateInterval = d }
+	return func(c *storeConfig) { c.base.maxUpdate = d }
 }
-
-// WithHistogramCells sets the Bx velocity histogram resolution (default 64).
-func WithHistogramCells(n int) Option { return func(c *storeConfig) { c.base.HistogramCells = n } }
-
-// WithZOrder switches the Bx-tree from the Hilbert curve to the Z-curve.
-func WithZOrder() Option { return func(c *storeConfig) { c.base.UseZOrder = true } }
-
-// WithLegacyScan restores the Bx-tree's per-interval scan path — one full
-// B+-tree root-to-leaf descent per space-filling-curve interval — instead of
-// the batched leaf-walk engine that serves a whole time bucket's intervals
-// with a single descent plus sibling hops. Query results are identical
-// either way; the knob exists as the measured baseline of the scan
-// benchmark (vpbench -exp scan) and for differential tests. Ignored by
-// TPR*-backed stores.
-func WithLegacyScan() Option { return func(c *storeConfig) { c.base.LegacyScan = true } }
-
-// WithBaseOptions replaces every base-index knob at once with an Options
-// struct — the migration bridge for callers moving off New/NewVP. Individual
-// With... options given after it still apply on top.
-func WithBaseOptions(o Options) Option { return func(c *storeConfig) { c.base = o } }
 
 // WithVelocityPartitioning enables the VP technique with k DVA partitions
 // (plus the outlier partition). k <= 0 keeps the paper's default of 2 ("most
@@ -287,28 +252,13 @@ func WithPartitionerAuto() Option {
 	}
 }
 
-// WithRepartitionPolicy sets the complete adaptive repartitioning policy at
-// once. The shorthand options WithRepartitionEvery and WithDriftThreshold
-// cover the common cases; later options override earlier ones field-wise
-// only when they set a field.
+// WithRepartitionPolicy enables adaptive repartitioning: after every
+// p.Every post-partition reports the Store re-analyzes its recent-velocity
+// reservoir off the write path and rebuilds the partitions if the live
+// partition set drifted past p.DriftThreshold (see RepartitionPolicy for
+// the defaults).
 func WithRepartitionPolicy(p RepartitionPolicy) Option {
 	return func(c *storeConfig) { c.repart = p }
-}
-
-// WithRepartitionEvery enables the adaptive repartition policy: after every
-// n post-partition reports the Store re-analyzes its recent-velocity
-// reservoir off the write path and rebuilds the partitions if the dominant
-// axes drifted past the threshold (WithDriftThreshold, default
-// DefaultDriftThreshold). n <= 0 disables automatic checks.
-func WithRepartitionEvery(n int) Option {
-	return func(c *storeConfig) { c.repart.Every = n }
-}
-
-// WithDriftThreshold sets the axis-drift angle (radians) past which an
-// automatic repartition check rebuilds the partitions. It only takes effect
-// together with WithRepartitionEvery (or a full WithRepartitionPolicy).
-func WithDriftThreshold(radians float64) Option {
-	return func(c *storeConfig) { c.repart.DriftThreshold = radians }
 }
 
 // WithMaintenanceHook observes every completed maintenance action — the
@@ -434,9 +384,6 @@ func WithCheckpointCompaction(maxChain int, maxBytes int64) Option {
 	}
 }
 
-// WithTauBuckets sizes the tau histograms (default 100, paper setting).
-func WithTauBuckets(n int) Option { return func(c *storeConfig) { c.tauBuckets = n } }
-
 // WithTauRefreshInterval recomputes each partition's outlier threshold after
 // this many routed inserts (Section 5.5); 0 (default) disables refresh.
 func WithTauRefreshInterval(n int) Option { return func(c *storeConfig) { c.tauRefresh = n } }
@@ -449,8 +396,8 @@ func WithSeed(seed int64) Option { return func(c *storeConfig) { c.seed = seed }
 // them as one shard-batched apply plus one WAL record, waiting out the sync
 // policy once per batch instead of once per record. Report keeps its
 // synchronous, per-record-error contract; per-object order is preserved by
-// the FIFO drain; Insert/Update/Remove/ReportBatch, Checkpoint, and Close
-// act as flush barriers.
+// the FIFO drain; Remove, ReportBatch, Checkpoint, and Close act as flush
+// barriers.
 //
 // window is the longest a leader dwells waiting for more callers before
 // draining — the latency a lone Report trades for batching. 0 disables the

@@ -5,19 +5,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/analysis/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/monitor"
 	"repro/internal/parallel"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // Store is the production facade over every index configuration in this
 // package: one type that is plain or velocity-partitioned, TPR*- or
-// Bx-backed, depending only on the Options passed to Open.
+// Bx-backed, depending only on the options passed to Open.
 //
-// Unlike the raw index interface — where Delete and Update need the caller
+// Unlike the raw tree interface — where Delete and Update need the caller
 // to hand back the exact old record — the Store keeps an id→record table
 // (its own while unpartitioned, the partition manager's afterwards), so
 // clients speak in production verbs: Report (insert-or-update by ID), Remove
@@ -31,9 +30,9 @@ import (
 // (WithShards, default GOMAXPROCS). Each shard owns a private RWMutex, its
 // own id→record table, and its own index structure — a staging index while
 // unpartitioned, a full velocity-partition manager afterwards — so the
-// ID-keyed write verbs (Report, Remove, Insert, Update) contend only on the
-// shard their object hashes to, and writes to different shards proceed
-// genuinely in parallel. Reads (Get) touch one shard under its read lock;
+// ID-keyed write verbs (Report, Remove) contend only on the shard their
+// object hashes to, and writes to different shards proceed genuinely in
+// parallel. Reads (Get) touch one shard under its read lock;
 // queries (Search, SearchKNN) fan out across the shards with a bounded
 // worker pool (WithSearchParallelism) and merge the per-shard buffers in
 // shard order after the joins — and inside every shard the partition
@@ -59,16 +58,15 @@ import (
 // # Adaptive repartitioning
 //
 // Once partitioned, each shard keeps a bounded ring of recently reported
-// velocities. With a repartition policy configured (WithRepartitionEvery /
-// WithDriftThreshold / WithRepartitionPolicy), every policy-cadence reports
-// a fresh DVA analysis of the pooled reservoir runs in the background and,
-// when any live axis has drifted past the threshold, the Store rebuilds the
-// partitions: per shard, a new manager (with fresh per-partition pools) is
-// built, the live population is migrated with InsertBulk under that shard's
-// write lock, and the manager is swapped in — the same cutover machinery as
-// the bootstrap, applied one shard at a time so the other shards keep
-// serving reads and writes throughout. Repartition is the synchronous
-// manual trigger.
+// velocities. With a repartition policy configured (WithRepartitionPolicy),
+// every policy-cadence reports a fresh DVA analysis of the pooled reservoir
+// runs in the background and, when any live axis has drifted past the
+// threshold, the Store rebuilds the partitions: per shard, a new manager
+// (with fresh per-partition pools) is built, the live population is
+// migrated with InsertBulk under that shard's write lock, and the manager is
+// swapped in — the same cutover machinery as the bootstrap, applied one
+// shard at a time so the other shards keep serving reads and writes
+// throughout. Repartition is the synchronous manual trigger.
 //
 // Maintenance is decoupled from the write path: a failed background
 // analysis (e.g. a degenerate reservoir) is recorded — LastMaintenanceError,
@@ -220,7 +218,7 @@ type MaintenanceEvent struct {
 // velocity partitions exist.
 type storeShard struct {
 	mu   sync.RWMutex
-	base model.Index
+	base model.KNNIndex
 	mgr  *core.Manager
 
 	// objs is the shard's id→record table (world frame) while staging or
@@ -329,14 +327,6 @@ func (sh *storeShard) observeVel(v Vec2, cap int) {
 	}
 }
 
-// Store satisfies the full index interface, so it drops into every API that
-// accepts one (monitors, benchmarks, the oracle tests).
-var (
-	_ model.Index      = (*Store)(nil)
-	_ model.KNNIndex   = (*Store)(nil)
-	_ monitor.Reporter = (*Store)(nil)
-)
-
 // Open builds a Store from functional options. Examples:
 //
 //	// Unpartitioned TPR*-tree with defaults (sharded across GOMAXPROCS).
@@ -351,7 +341,7 @@ var (
 //		vpindex.WithAutoPartition(10_000),
 //	)
 //
-//	// VP with an upfront sample (partitioned immediately, like NewVP).
+//	// VP with an upfront sample (partitioned immediately).
 //	s, err := vpindex.Open(vpindex.WithVelocitySample(sample))
 func Open(opts ...Option) (*Store, error) {
 	var cfg storeConfig
@@ -369,7 +359,7 @@ func Open(opts ...Option) (*Store, error) {
 		}
 	} else {
 		ms := storage.NewMemStore()
-		ms.SetLatency(cfg.base.DiskLatency)
+		ms.SetLatency(cfg.base.diskLatency)
 		s.disk = ms
 	}
 	fail := func(err error) (*Store, error) {
@@ -394,14 +384,12 @@ func Open(opts ...Option) (*Store, error) {
 			return fail(err)
 		}
 	} else {
-		suffix := ""
 		if cfg.autoN > 0 {
-			suffix = "staging"
 			s.nextTrip.Store(int64(cfg.autoN))
 		}
 		for _, sh := range s.shards {
 			pool := s.newPool()
-			idx, err := buildBase(pool, cfg.base, cfg.base.Domain, suffix)
+			idx, err := buildBase(pool, cfg.base, cfg.base.domain)
 			if err != nil {
 				return fail(err)
 			}
@@ -479,7 +467,7 @@ func (s *Store) shardIndex(id ObjectID) int {
 // it for Stats aggregation. Every index structure the Store builds gets its
 // own pool so concurrent page-cache hits never serialize on one pool mutex.
 func (s *Store) newPool() *storage.BufferPool {
-	p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages)
+	p := storage.NewBufferPool(s.disk, s.cfg.base.bufferPages)
 	p.SetRetryPolicy(s.cfg.retry)
 	s.poolMu.Lock()
 	s.pools = append(s.pools, p)
@@ -493,14 +481,13 @@ func (s *Store) newPool() *storage.BufferPool {
 // attempt leaks nothing into Stats — the caller registers them on commit.
 func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*core.Manager, error) {
 	mgr, err := core.NewManager(an, core.ManagerConfig{
-		Domain:             s.cfg.base.Domain,
+		Domain:             s.cfg.base.domain,
 		TauRefreshInterval: s.cfg.tauRefresh,
-		TauBuckets:         s.cfg.tauBuckets,
 		SearchParallelism:  s.cfg.searchPar,
 	}, func(spec core.PartitionSpec) (model.Index, error) {
-		p := storage.NewBufferPool(s.disk, s.cfg.base.BufferPages)
+		p := storage.NewBufferPool(s.disk, s.cfg.base.bufferPages)
 		p.SetRetryPolicy(s.cfg.retry)
-		idx, err := buildBase(p, s.cfg.base, spec.Domain, spec.Name)
+		idx, err := buildBase(p, s.cfg.base, spec.Domain)
 		if err != nil {
 			return nil, err
 		}
@@ -510,7 +497,6 @@ func (s *Store) buildManager(an core.Analysis, pools *[]*storage.BufferPool) (*c
 	if err != nil {
 		return nil, err
 	}
-	mgr.SetName(s.cfg.base.Kind.String() + "(vp)")
 	return mgr, nil
 }
 
@@ -522,22 +508,22 @@ const defaultQueryLogSize = 1024
 func (s *Store) partitionerFor(obj PartitionObjective) core.Partitioner {
 	switch obj {
 	case ObjectiveSpeed:
-		return core.SpeedPartitioner{Bands: s.cfg.k, Buckets: s.cfg.tauBuckets}
+		return core.SpeedPartitioner{Bands: s.cfg.k}
 	case ObjectiveNone:
 		return core.NonePartitioner{}
 	default:
 		return core.DVAPartitioner{Config: core.AnalyzerConfig{
-			K:          s.cfg.k,
-			TauBuckets: s.cfg.tauBuckets,
-			Cluster:    clusterOptions(s.cfg.seed),
+			K:       s.cfg.k,
+			Cluster: cluster.Options{Seed: s.cfg.seed},
 		}}
 	}
 }
 
 // costQueries returns the workload evidence for the partitioning cost
 // model: the pooled query-shape log, or — before any query has been
-// observed — a single synthetic shape built from the configured query
-// extent and a medium prediction window, so the chooser is never blind.
+// observed — a single synthetic shape of the TPR*-tree's Table 1 query
+// extent (1000 m) and a medium prediction window, so the chooser is never
+// blind.
 func (s *Store) costQueries() []core.QueryShape {
 	out := make([]core.QueryShape, 0, s.qlogCap*len(s.shards))
 	for _, sh := range s.shards {
@@ -548,11 +534,7 @@ func (s *Store) costQueries() []core.QueryShape {
 	if len(out) > 0 {
 		return out
 	}
-	extent := s.cfg.base.QueryExtent
-	if extent <= 0 {
-		extent = 1000 // the TPR*-tree's Table 1 default
-	}
-	return []core.QueryShape{{HalfW: extent / 2, HalfH: extent / 2, Window: 60}}
+	return []core.QueryShape{{HalfW: 500, HalfH: 500, Window: 60}}
 }
 
 // chooseAnalysis picks the analysis the next partition epoch is built from.
@@ -1010,7 +992,7 @@ func (s *Store) Report(o Object) error {
 			return c.report(o)
 		}
 	}
-	trip, err := s.durableApplyObject(wal.TypeReport, o, (*Store).applyReport)
+	trip, err := s.durableReport(o)
 	if err != nil {
 		return err
 	}
@@ -1388,8 +1370,7 @@ func (s *Store) Search(q RangeQuery) ([]ObjectID, error) {
 
 // SearchKNN returns the k objects nearest the query center at the query's
 // evaluation time, fanning out across shards like Search and merging the
-// per-shard top-k lists. Returns ErrUnsupported if the configured base
-// structure has no kNN implementation (both built-in kinds do).
+// per-shard top-k lists.
 func (s *Store) SearchKNN(q KNNQuery) ([]Neighbor, error) {
 	s.observeQueryShape(knnQueryShape(q))
 	lists := make([][]Neighbor, len(s.shards))
@@ -1404,11 +1385,7 @@ func (s *Store) SearchKNN(q KNNQuery) ([]Neighbor, error) {
 		if sh.mgr != nil {
 			ns, err = sh.mgr.SearchKNN(q)
 		} else {
-			knn, ok := sh.base.(model.KNNIndex)
-			if !ok {
-				return fmt.Errorf("vpindex: %s does not support kNN: %w", sh.base.Name(), ErrUnsupported)
-			}
-			ns, err = knn.SearchKNN(q)
+			ns, err = sh.base.SearchKNN(q)
 		}
 		if err != nil {
 			return err
@@ -1558,128 +1535,4 @@ func (s *Store) Pools() []*storage.BufferPool {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	return append([]*storage.BufferPool(nil), s.pools...)
-}
-
-// Name implements model.Index.
-func (s *Store) Name() string {
-	sh := s.shards[0]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.mgr != nil {
-		return sh.mgr.Name()
-	}
-	return sh.base.Name()
-}
-
-// IO implements model.Index (same counters as Stats).
-func (s *Store) IO() IOStats { return s.Stats().IOStats }
-
-// Insert implements model.Index with strict semantics: reporting an ID that
-// is already indexed returns ErrDuplicate. Application code should prefer
-// Report.
-func (s *Store) Insert(o Object) error {
-	// Flush barrier: strict duplicate rejection must observe every Report
-	// enqueued before this call.
-	s.coalFlush()
-	// A successful Insert is logged as a plain report record: the ID was
-	// absent, so replaying it as an upsert reproduces the insert exactly.
-	trip, err := s.durableApplyObject(wal.TypeReport, o, (*Store).applyInsert)
-	if err != nil {
-		return err
-	}
-	s.afterReports(trip, 1)
-	return nil
-}
-
-// applyInsert is Insert's in-memory half (strict duplicate rejection).
-func (s *Store) applyInsert(o Object) (bool, error) {
-	sh := s.shardFor(o.ID)
-	sh.mu.Lock()
-	var (
-		trip bool
-		err  error
-	)
-	switch {
-	case sh.mgr != nil:
-		if err = sh.mgr.Insert(o); err == nil {
-			sh.markDirty(o.ID)
-			sh.observeVel(o.Vel, s.resCap)
-		}
-	default:
-		if _, dup := sh.objs[o.ID]; dup {
-			err = fmt.Errorf("vpindex: insert of object %d: %w", o.ID, ErrDuplicate)
-		} else {
-			trip, err = s.reportShardLocked(sh, o)
-		}
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	if e := s.subEng.Load(); e != nil {
-		e.noteReport(o)
-	}
-	return trip, nil
-}
-
-// Delete implements model.Index. Only the ID of o is consulted — the stored
-// record comes from the Store's own table.
-func (s *Store) Delete(o Object) error { return s.Remove(o.ID) }
-
-// Update implements model.Index. Only old.ID is consulted; the rest of the
-// old record comes from the table, so legacy delete+insert call sites keep
-// working without tracking server state.
-func (s *Store) Update(old, new Object) error {
-	if new.ID != old.ID {
-		return fmt.Errorf("vpindex: update changes object id %d -> %d", old.ID, new.ID)
-	}
-	// Flush barrier: strict not-found rejection must observe every Report
-	// enqueued before this call.
-	s.coalFlush()
-	// A successful Update is logged as a plain report record: the ID was
-	// present, so replaying it as an upsert reproduces the update exactly.
-	// Only new's fields are consulted past the ID check above, so the
-	// update rides the shared single-object path.
-	trip, err := s.durableApplyObject(wal.TypeReport, new, applyUpdateByID)
-	if err != nil {
-		return err
-	}
-	s.afterReports(trip, 1)
-	return nil
-}
-
-// applyUpdateByID adapts applyUpdate to the single-object apply shape (the
-// old record's only consulted field is its ID, equal to o's by the check in
-// Update).
-func applyUpdateByID(s *Store, o Object) (bool, error) { return s.applyUpdate(o, o) }
-
-// applyUpdate is Update's in-memory half (strict not-found rejection).
-func (s *Store) applyUpdate(old, new Object) (bool, error) {
-	sh := s.shardFor(old.ID)
-	sh.mu.Lock()
-	var (
-		trip bool
-		err  error
-	)
-	switch {
-	case sh.mgr != nil:
-		if err = sh.mgr.UpdateByID(new); err == nil {
-			sh.markDirty(new.ID)
-			sh.observeVel(new.Vel, s.resCap)
-		}
-	default:
-		if _, ok := sh.objs[old.ID]; !ok {
-			err = fmt.Errorf("vpindex: update of object %d: %w", old.ID, ErrNotFound)
-		} else {
-			trip, err = s.reportShardLocked(sh, new)
-		}
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	if e := s.subEng.Load(); e != nil {
-		e.noteReport(new)
-	}
-	return trip, nil
 }

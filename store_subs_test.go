@@ -12,10 +12,12 @@ import (
 
 	vpindex "repro"
 	"repro/internal/model"
+	"repro/internal/monitor"
 )
 
 // bfReporter adapts the brute-force oracle index to the Reporter surface so
-// a legacy Monitor over it can mirror the Store's subscription engine.
+// the reference single-lock Monitor over it can mirror the Store's
+// subscription engine.
 type bfReporter struct{ *model.BruteForce }
 
 func (r bfReporter) Report(o model.Object) error {
@@ -104,7 +106,7 @@ func TestStoreSubscriptionDifferentialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror := vpindex.NewMonitor(bfReporter{model.NewBruteForce()})
+	mirror := monitor.New(bfReporter{model.NewBruteForce()})
 	ch := store.Events()
 
 	// Background repartition swaps racing the whole script.

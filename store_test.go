@@ -364,9 +364,6 @@ func TestStoreConcurrentReportSearch(t *testing.T) {
 	}
 }
 
-// nonKNN hides an index's kNN support behind the bare interface.
-type nonKNN struct{ model.Index }
-
 // TestStoreTypedErrors checks the errors.Is contract of the public surface.
 func TestStoreTypedErrors(t *testing.T) {
 	store, err := vpindex.Open(vpindex.WithKind(vpindex.Bx))
@@ -378,14 +375,8 @@ func TestStoreTypedErrors(t *testing.T) {
 	if err := store.Remove(1); !errors.Is(err, vpindex.ErrNotFound) {
 		t.Fatalf("remove absent: %v", err)
 	}
-	if err := store.Update(o, o); !errors.Is(err, vpindex.ErrNotFound) {
-		t.Fatalf("update absent: %v", err)
-	}
-	if err := store.Insert(o); err != nil {
+	if err := store.Report(o); err != nil {
 		t.Fatal(err)
-	}
-	if err := store.Insert(o); !errors.Is(err, vpindex.ErrDuplicate) {
-		t.Fatalf("duplicate insert: %v", err)
 	}
 	// Report is an upsert: the same record is never a duplicate.
 	if err := store.Report(o); err != nil {
@@ -406,11 +397,11 @@ func TestStoreTypedErrors(t *testing.T) {
 	if !vp.Partitioned() {
 		t.Fatal("upfront sample did not partition")
 	}
-	if err := vp.Insert(o); err != nil {
+	if err := vp.Report(o); err != nil {
 		t.Fatal(err)
 	}
-	if err := vp.Insert(o); !errors.Is(err, vpindex.ErrDuplicate) {
-		t.Fatalf("vp duplicate insert: %v", err)
+	if err := vp.Report(o); err != nil {
+		t.Fatalf("vp report existing: %v", err)
 	}
 	if err := vp.Remove(99); !errors.Is(err, vpindex.ErrNotFound) {
 		t.Fatalf("vp remove absent: %v", err)
@@ -420,72 +411,6 @@ func TestStoreTypedErrors(t *testing.T) {
 	// seed the analysis.
 	if _, err := vpindex.Open(vpindex.WithVelocityPartitioning(3), vpindex.WithAutoPartition(2)); err == nil {
 		t.Fatal("auto sample below k accepted")
-	}
-
-	// The deprecated Index wrapper reports kNN-less structures with
-	// ErrUnsupported instead of panicking.
-	ix := &vpindex.Index{Index: nonKNN{model.NewBruteForce()}}
-	if _, err := ix.SearchKNN(vpindex.KNNQuery{Center: vpindex.V(0, 0), K: 1, T: 1}); !errors.Is(err, vpindex.ErrUnsupported) {
-		t.Fatalf("kNN on non-kNN index: %v", err)
-	}
-}
-
-// TestStoreMonitorIntegration wraps a Store with the continuous-query layer
-// and drives it exclusively through the ID-keyed report verbs.
-func TestStoreMonitorIntegration(t *testing.T) {
-	store, err := vpindex.Open(
-		vpindex.WithVelocityPartitioning(2),
-		vpindex.WithVelocitySample(testSample(500, 4)),
-		vpindex.WithSeed(4),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := vpindex.NewMonitor(store)
-
-	// Watch a disk around (5000, 5000) with no prediction lookahead.
-	subID, seed, err := mon.Subscribe(vpindex.Subscription{
-		Query: vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(5000, 5000), R: 1000}, 0, 0),
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seed) != 0 {
-		t.Fatalf("seed events on empty store: %v", seed)
-	}
-
-	// Report an object inside the fence: one Enter.
-	evs, err := mon.ProcessReport(vpindex.Object{ID: 1, Pos: vpindex.V(5100, 5000), Vel: vpindex.V(1, 0), T: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != vpindex.Enter || evs[0].Sub != subID {
-		t.Fatalf("enter events: %v", evs)
-	}
-	// Re-report it far away: one Leave.
-	evs, err = mon.ProcessReport(vpindex.Object{ID: 1, Pos: vpindex.V(15000, 15000), Vel: vpindex.V(1, 0), T: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != vpindex.Leave {
-		t.Fatalf("leave events: %v", evs)
-	}
-	// Report back inside, then remove: Enter then Leave.
-	if _, err := mon.ProcessReport(vpindex.Object{ID: 1, Pos: vpindex.V(4900, 5000), Vel: vpindex.V(0, 0), T: 2}); err != nil {
-		t.Fatal(err)
-	}
-	evs, err = mon.ProcessRemove(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != vpindex.Leave {
-		t.Fatalf("remove events: %v", evs)
-	}
-	if store.Len() != 0 {
-		t.Fatalf("store len after remove: %d", store.Len())
-	}
-	if _, err := mon.ProcessRemove(1); !errors.Is(err, vpindex.ErrNotFound) {
-		t.Fatalf("remove absent via monitor: %v", err)
 	}
 }
 

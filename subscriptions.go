@@ -141,7 +141,7 @@ func newSubEngine(s *Store) *subEngine {
 	e := &subEngine{
 		store:  s,
 		subs:   make(map[SubscriptionID]Subscription),
-		filter: monitor.NewFilter(s.cfg.base.Domain, 0),
+		filter: monitor.NewFilter(s.cfg.base.domain, 0),
 		shards: make([]subShard, len(s.shards)),
 	}
 	for i := range e.shards {

@@ -6,35 +6,38 @@ import (
 	"testing"
 
 	vpindex "repro"
+	"repro/internal/bench"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
 
+// TestNewDefaults: a newly opened Store of either kind serves the full
+// Report/Search/Remove cycle with every option at its default.
 func TestNewDefaults(t *testing.T) {
 	for _, kind := range []vpindex.Kind{vpindex.TPRStar, vpindex.Bx} {
-		idx, err := vpindex.New(vpindex.Options{Kind: kind})
+		store, err := vpindex.Open(vpindex.WithKind(kind))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idx.Len() != 0 {
-			t.Fatal("new index not empty")
+		if store.Len() != 0 || store.Partitioned() {
+			t.Fatal("new store not empty and unpartitioned")
 		}
 		o := vpindex.Object{ID: 1, Pos: vpindex.V(100, 100), Vel: vpindex.V(5, 5), T: 0}
-		if err := idx.Insert(o); err != nil {
+		if err := store.Report(o); err != nil {
 			t.Fatal(err)
 		}
-		ids, err := idx.Search(vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(150, 150), R: 100}, 0, 10))
+		ids, err := store.Search(vpindex.SliceQuery(vpindex.Circle{C: vpindex.V(150, 150), R: 100}, 0, 10))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ids) != 1 || ids[0] != 1 {
 			t.Fatalf("%v: ids = %v", kind, ids)
 		}
-		if err := idx.Delete(o); err != nil {
+		if err := store.Remove(o.ID); err != nil {
 			t.Fatal(err)
 		}
-		if idx.Len() != 0 {
-			t.Fatal("delete did not shrink index")
+		if store.Len() != 0 {
+			t.Fatal("remove did not shrink store")
 		}
 	}
 }
@@ -76,12 +79,14 @@ func TestQueryBuilders(t *testing.T) {
 	}
 }
 
+// TestNewVPRequiresSample: a velocity-partitioned Store refuses an upfront
+// sample or an auto-partition threshold too small to form k partitions.
 func TestNewVPRequiresSample(t *testing.T) {
-	if _, err := vpindex.NewVP(nil, vpindex.VPOptions{}); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-	if _, err := vpindex.NewVP([]vpindex.Vec2{{X: 1}}, vpindex.VPOptions{K: 2}); err == nil {
+	if _, err := vpindex.Open(vpindex.WithVelocitySample([]vpindex.Vec2{{X: 1}})); err == nil {
 		t.Fatal("sample smaller than k accepted")
+	}
+	if _, err := vpindex.Open(vpindex.WithVelocityPartitioning(2), vpindex.WithAutoPartition(1)); err == nil {
+		t.Fatal("auto-partition sample smaller than k accepted")
 	}
 }
 
@@ -96,27 +101,21 @@ func TestVPAnalysisExposed(t *testing.T) {
 			sample[i] = vpindex.V(rng.NormFloat64(), -s)
 		}
 	}
-	idx, err := vpindex.NewVP(sample, vpindex.VPOptions{
-		Options: vpindex.Options{Kind: vpindex.Bx},
-		K:       2,
-	})
+	store, err := vpindex.Open(vpindex.WithKind(vpindex.Bx), vpindex.WithVelocitySample(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := idx.Analysis()
-	if an.NumVelocityFrames() != 2 || an.SampleSize != 1000 {
-		t.Fatalf("analysis: %+v", an)
+	an, ok := store.Analysis()
+	if !ok || an.NumVelocityFrames() != 2 || an.SampleSize != 1000 {
+		t.Fatalf("analysis: %+v (ok=%v)", an, ok)
 	}
-	if idx.NumPartitions() != 3 {
-		t.Fatalf("partitions: %d", idx.NumPartitions())
-	}
-	if idx.Name() != "bx(vp)" {
-		t.Fatalf("name: %q", idx.Name())
+	if n := len(store.Partitions()); n != 3 {
+		t.Fatalf("partitions: %d", n)
 	}
 }
 
 func TestStatsProgress(t *testing.T) {
-	idx, err := vpindex.New(vpindex.Options{Kind: vpindex.Bx, BufferPages: 4})
+	store, err := vpindex.Open(vpindex.WithKind(vpindex.Bx), vpindex.WithBufferPages(4), vpindex.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +127,84 @@ func TestStatsProgress(t *testing.T) {
 			Vel: vpindex.V(rng.Float64()*100-50, rng.Float64()*100-50),
 			T:   0,
 		}
-		if err := idx.Insert(o); err != nil {
+		if err := store.Report(o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := idx.Stats()
+	st := store.Stats()
 	if st.Reads == 0 || st.Writes == 0 {
 		t.Fatalf("tiny buffer should force I/O: %+v", st)
 	}
 	if st.Total() != st.Reads+st.Writes {
 		t.Fatal("Total() arithmetic")
+	}
+}
+
+// oracleSetup is one configuration the end-to-end oracles replay a
+// workload through: one of the paper harness's four setups (built from the
+// index layers over one shared buffer pool), or — with setup empty — the
+// Store.
+type oracleSetup struct {
+	name  string
+	setup bench.Setup
+}
+
+var oracleSetups = []oracleSetup{
+	{"bx", bench.SetupBx},
+	{"bx-vp", bench.SetupBxVP},
+	{"tpr", bench.SetupTPR},
+	{"tpr-vp", bench.SetupTPRVP},
+	{"store", ""},
+}
+
+// oracleIndex is the surface the end-to-end oracles drive: a bulk load,
+// one update verb, and the queries.
+type oracleIndex struct {
+	load   func([]vpindex.Object) error
+	update func(old, new vpindex.Object) error
+	search func(vpindex.RangeQuery) ([]vpindex.ObjectID, error)
+	knn    func(vpindex.KNNQuery) ([]vpindex.Neighbor, error)
+	len    func() int
+}
+
+// buildOracleIndex builds su for gen's workload. Harness setups load with
+// Insert and update with Update(old, new); the Store loads with
+// ReportBatch and updates with Report. storeOpts configure the Store.
+func buildOracleIndex(t *testing.T, su oracleSetup, gen *workload.Generator, bufferPages int, storeOpts ...vpindex.Option) oracleIndex {
+	t.Helper()
+	if su.setup == "" {
+		store, err := vpindex.Open(append([]vpindex.Option{
+			vpindex.WithDomain(gen.Params().Domain),
+			vpindex.WithBufferPages(bufferPages),
+		}, storeOpts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oracleIndex{
+			load:   store.ReportBatch,
+			update: func(_, new vpindex.Object) error { return store.Report(new) },
+			search: store.Search,
+			knn:    store.SearchKNN,
+			len:    store.Len,
+		}
+	}
+	idx, err := bench.Build(su.setup, gen, bufferPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracleIndex{
+		load: func(objs []vpindex.Object) error {
+			for _, o := range objs {
+				if err := idx.Insert(o); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		update: idx.Update,
+		search: idx.Search,
+		knn:    idx.Index.(model.KNNIndex).SearchKNN,
+		len:    idx.Len,
 	}
 }
 
@@ -150,19 +217,8 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	type setup struct {
-		name string
-		kind vpindex.Kind
-		vp   bool
-	}
-	setups := []setup{
-		{"bx", vpindex.Bx, false},
-		{"bx-vp", vpindex.Bx, true},
-		{"tpr", vpindex.TPRStar, false},
-		{"tpr-vp", vpindex.TPRStar, true},
-	}
 	for _, ds := range workload.Datasets() {
-		for _, su := range setups {
+		for _, su := range oracleSetups {
 			t.Run(string(ds)+"/"+su.name, func(t *testing.T) {
 				p := workload.DefaultParams(ds, 900)
 				p.Domain = vpindex.R(0, 0, 12000, 12000)
@@ -173,28 +229,21 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := vpindex.Options{Kind: su.kind, Domain: p.Domain, BufferPages: 20}
-				var idx vpindex.Searcher
-				if su.vp {
-					v, err := vpindex.NewVP(gen.VelocitySample(900), vpindex.VPOptions{
-						Options: opts, K: 2, Seed: 5, TauRefreshInterval: 400,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					idx = v
-				} else {
-					v, err := vpindex.New(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					idx = v
-				}
+				// The Store bootstraps its partitions from the load and
+				// refreshes tau online while the updates stream in.
+				idx := buildOracleIndex(t, su, gen, 20,
+					vpindex.WithKind(vpindex.Bx),
+					vpindex.WithShards(2),
+					vpindex.WithVelocityPartitioning(2),
+					vpindex.WithAutoPartition(600),
+					vpindex.WithTauRefreshInterval(400),
+					vpindex.WithSeed(5),
+				)
 				oracle := model.NewBruteForce()
+				if err := idx.load(gen.Initial()); err != nil {
+					t.Fatal(err)
+				}
 				for _, o := range gen.Initial() {
-					if err := idx.Insert(o); err != nil {
-						t.Fatal(err)
-					}
 					_ = oracle.Insert(o)
 				}
 				queries := gen.Queries(p.NumQueries)
@@ -207,7 +256,7 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 					for qi < len(queries) && queries[qi].Now <= now {
 						q := queries[qi]
 						qi++
-						got, err := idx.Search(q)
+						got, err := idx.search(q)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -231,7 +280,7 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 						break
 					}
 					check(ev.T)
-					if err := idx.Update(ev.Old, ev.New); err != nil {
+					if err := idx.update(ev.Old, ev.New); err != nil {
 						t.Fatalf("update at t=%g: %v", ev.T, err)
 					}
 					if err := oracle.Update(ev.Old, ev.New); err != nil {
@@ -239,8 +288,8 @@ func TestEndToEndOracleAllDatasetsAllSetups(t *testing.T) {
 					}
 				}
 				check(p.Duration + 1)
-				if idx.Len() != oracle.Len() {
-					t.Fatalf("len %d vs %d", idx.Len(), oracle.Len())
+				if idx.len() != oracle.Len() {
+					t.Fatalf("len %d vs %d", idx.len(), oracle.Len())
 				}
 			})
 		}

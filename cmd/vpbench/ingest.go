@@ -17,52 +17,39 @@ import (
 	"repro/internal/workload"
 )
 
-// ingestCell is one point of the write-coalescing matrix: a writer count ×
-// ingest mode × durability combination hammered with single-record Reports.
+// ingestCell is one point of the ingest matrix: a writer count × durability
+// combination hammered with single-record Reports.
 type ingestCell struct {
-	Mode       string  `json:"mode"` // "direct" or "coalesced"
-	Durable    bool    `json:"durable"`
-	Writers    int     `json:"writers"`
-	WindowUsec int64   `json:"window_usec"` // coalescing dwell window (0 = natural batching)
-	Ops        int64   `json:"ops"`
-	Seconds    float64 `json:"seconds"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	MeanUsec   float64 `json:"mean_usec"`
-	P50Usec    float64 `json:"p50_usec"`
-	P99Usec    float64 `json:"p99_usec"`
-	P999Usec   float64 `json:"p999_usec"`
-	// Coalescer telemetry (zero in direct mode): how many leader drains the
-	// run produced and how many records each drain carried on average.
-	CoalescedBatches int64   `json:"coalesced_batches,omitempty"`
-	CoalescedRecords int64   `json:"coalesced_records,omitempty"`
-	AvgBatch         float64 `json:"avg_batch,omitempty"`
+	Durable   bool    `json:"durable"`
+	Writers   int     `json:"writers"`
+	Ops       int64   `json:"ops"`
+	Seconds   float64 `json:"seconds"`
+	OpsPerSec float64 `json:"ops_per_sec"`
+	MeanUsec  float64 `json:"mean_usec"`
+	P50Usec   float64 `json:"p50_usec"`
+	P99Usec   float64 `json:"p99_usec"`
+	P999Usec  float64 `json:"p999_usec"`
 }
 
-// ingestReport is the BENCH_ingest.json schema. The headline numbers are the
-// durable speedups: coalesced ÷ direct sustained Report throughput at each
-// writer count under group commit, plus the tail-latency datapoint for a
-// nonzero dwell window (p99 must stay bounded by roughly twice the window on
-// an in-memory store, where the window is the dominant cost).
+// ingestReport is the BENCH_ingest.json schema. NumCPU sits next to
+// GoMaxProcs because the experiment raises GOMAXPROCS to at least 8: on a
+// smaller box the writers are time-sliced over fewer cores than the
+// scheduler is told about.
 type ingestReport struct {
-	Experiment       string             `json:"experiment"`
-	Dataset          string             `json:"dataset"`
-	Objects          int                `json:"objects"`
-	GoMaxProcs       int                `json:"gomaxprocs"`
-	GroupWindowUsec  int64              `json:"group_window_usec"`
-	Cells            []ingestCell       `json:"cells"`
-	DurableSpeedup   map[string]float64 `json:"durable_speedup_by_writers"`
-	WindowedCell     *ingestCell        `json:"windowed_cell,omitempty"`
-	WindowedP99Ratio float64            `json:"windowed_p99_over_window,omitempty"`
+	Experiment      string       `json:"experiment"`
+	Dataset         string       `json:"dataset"`
+	Objects         int          `json:"objects"`
+	NumCPU          int          `json:"nproc"`
+	GoMaxProcs      int          `json:"gomaxprocs"`
+	GroupWindowUsec int64        `json:"group_window_usec"`
+	Cells           []ingestCell `json:"cells"`
 }
 
-// runIngest measures the coalesced write path against the direct one:
-// concurrent writers issue synchronous single-record Reports (the telemetry
-// firehose shape — many producers, one record each) for a fixed wall-clock
-// slice, on an in-memory store and on a durable group-commit store. The
-// coalesced cells use a zero dwell window: with synchronous writers the
-// queue refills while the leader drains, so batches form from arrival
-// concurrency alone and idle latency stays at the direct path's. A final
-// windowed cell demonstrates the dwell bound: p99 ≲ 2× the window.
+// runIngest measures sustained single-record Report throughput and latency:
+// concurrent writers issue synchronous Reports (the telemetry firehose shape
+// — many producers, one record each) for a fixed wall-clock slice, on an
+// in-memory store and on a durable group-commit store. On the durable side
+// the concurrent writers share fsyncs through the WAL's group commit.
 func runIngest(ds workload.Dataset, sc bench.Scale, seed int64, procs int, outPath string) error {
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
@@ -97,7 +84,7 @@ func runIngest(ds workload.Dataset, sc bench.Scale, seed int64, procs int, outPa
 		cellReps    = 3
 	)
 
-	open := func(durable bool, coalWindow time.Duration, coalesce bool) (*vpindex.Store, func(), error) {
+	open := func(durable bool) (*vpindex.Store, func(), error) {
 		opts := []vpindex.Option{
 			vpindex.WithKind(vpindex.Bx),
 			vpindex.WithDomain(p.Domain),
@@ -124,9 +111,6 @@ func runIngest(ds workload.Dataset, sc bench.Scale, seed int64, procs int, outPa
 				vpindex.WithSyncPolicy(vpindex.SyncGroupCommit(groupWindow)),
 			)
 		}
-		if coalesce {
-			opts = append(opts, vpindex.WithWriteCoalescing(coalWindow, vpindex.DefaultCoalesceBatch))
-		}
 		store, err := vpindex.Open(opts...)
 		if err != nil {
 			cleanup()
@@ -140,8 +124,8 @@ func runIngest(ds workload.Dataset, sc bench.Scale, seed int64, procs int, outPa
 		return store, cleanup, nil
 	}
 
-	runCell := func(mode string, durable bool, writers int, coalWindow time.Duration) (ingestCell, error) {
-		store, cleanup, err := open(durable, coalWindow, mode == "coalesced")
+	runCell := func(durable bool, writers int) (ingestCell, error) {
+		store, cleanup, err := open(durable)
 		if err != nil {
 			return ingestCell{}, err
 		}
@@ -179,7 +163,6 @@ func runIngest(ds workload.Dataset, sc bench.Scale, seed int64, procs int, outPa
 		stop.Store(true)
 		wg.Wait()
 		seconds := time.Since(start).Seconds()
-		ing, _ := store.IngestStats()
 		if cerr := store.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
@@ -190,47 +173,28 @@ func runIngest(ds workload.Dataset, sc bench.Scale, seed int64, procs int, outPa
 			return ingestCell{}, err
 		}
 		p50, p99, p999 := h.Percentiles()
-		cell := ingestCell{
-			Mode:       mode,
-			Durable:    durable,
-			Writers:    writers,
-			WindowUsec: coalWindow.Microseconds(),
-			Ops:        total.Load(),
-			Seconds:    seconds,
-			OpsPerSec:  float64(total.Load()) / seconds,
-			MeanUsec:   float64(h.Mean().Nanoseconds()) / 1e3,
-			P50Usec:    float64(p50.Nanoseconds()) / 1e3,
-			P99Usec:    float64(p99.Nanoseconds()) / 1e3,
-			P999Usec:   float64(p999.Nanoseconds()) / 1e3,
-		}
-		if mode == "coalesced" {
-			cell.CoalescedBatches = ing.CoalescedBatches
-			cell.CoalescedRecords = ing.CoalescedRecords
-			if ing.CoalescedBatches > 0 {
-				cell.AvgBatch = float64(ing.CoalescedRecords) / float64(ing.CoalescedBatches)
-			}
-		}
-		return cell, nil
+		return ingestCell{
+			Durable:   durable,
+			Writers:   writers,
+			Ops:       total.Load(),
+			Seconds:   seconds,
+			OpsPerSec: float64(total.Load()) / seconds,
+			MeanUsec:  float64(h.Mean().Nanoseconds()) / 1e3,
+			P50Usec:   float64(p50.Nanoseconds()) / 1e3,
+			P99Usec:   float64(p99.Nanoseconds()) / 1e3,
+			P999Usec:  float64(p999.Nanoseconds()) / 1e3,
+		}, nil
 	}
 
-	// medianCell picks the median repetition by throughput; the windowed cell
-	// below re-sorts by p99 since its throughput is pinned by the dwell
-	// cadence and the tail is what it exists to demonstrate.
-	repeatCell := func(mode string, durable bool, writers int, coalWindow time.Duration) ([]ingestCell, error) {
+	// medianCell picks the median repetition by throughput.
+	medianCell := func(durable bool, writers int) (ingestCell, error) {
 		cells := make([]ingestCell, 0, cellReps)
 		for r := 0; r < cellReps; r++ {
-			cell, err := runCell(mode, durable, writers, coalWindow)
+			cell, err := runCell(durable, writers)
 			if err != nil {
-				return nil, err
+				return ingestCell{}, err
 			}
 			cells = append(cells, cell)
-		}
-		return cells, nil
-	}
-	medianCell := func(mode string, durable bool, writers int, coalWindow time.Duration) (ingestCell, error) {
-		cells, err := repeatCell(mode, durable, writers, coalWindow)
-		if err != nil {
-			return ingestCell{}, err
 		}
 		sort.Slice(cells, func(i, j int) bool { return cells[i].OpsPerSec < cells[j].OpsPerSec })
 		return cells[len(cells)/2], nil
@@ -240,64 +204,23 @@ func runIngest(ds workload.Dataset, sc bench.Scale, seed int64, procs int, outPa
 		Experiment:      "ingest",
 		Dataset:         string(ds),
 		Objects:         len(objs),
+		NumCPU:          runtime.NumCPU(),
 		GoMaxProcs:      procs,
 		GroupWindowUsec: groupWindow.Microseconds(),
-		DurableSpeedup:  map[string]float64{},
 	}
-	fmt.Printf("ingest: single-record Reports, %v per cell, group window %v\n\n", cellTime, groupWindow)
-
-	tput := map[string]float64{}
+	fmt.Printf("ingest: single-record Reports, %v per cell, group window %v, nproc %d, gomaxprocs %d\n\n",
+		cellTime, groupWindow, rep.NumCPU, procs)
 	for _, durable := range []bool{false, true} {
 		for _, writers := range []int{1, 4, 16, 64} {
-			for _, mode := range []string{"direct", "coalesced"} {
-				// All throughput cells use a zero dwell: batches form from
-				// arrival concurrency alone. A dwell long enough to matter
-				// collects the whole post-fsync wakeup burst into one
-				// lockstep batch and serializes the pipeline — the
-				// throughput win needs consecutive batches overlapping the
-				// fsync and riding its commit window.
-				cell, err := medianCell(mode, durable, writers, 0)
-				if err != nil {
-					return err
-				}
-				rep.Cells = append(rep.Cells, cell)
-				tput[fmt.Sprintf("%s/%v/%d", mode, durable, writers)] = cell.OpsPerSec
-				extra := ""
-				if cell.AvgBatch > 0 {
-					extra = fmt.Sprintf("  avg batch %.1f", cell.AvgBatch)
-				}
-				fmt.Printf("  %-9s durable=%-5v writers=%-3d %9.0f reports/s  p50 %6.0fµs p99 %6.0fµs p999 %6.0fµs%s\n",
-					mode, durable, writers, cell.OpsPerSec, cell.P50Usec, cell.P99Usec, cell.P999Usec, extra)
+			cell, err := medianCell(durable, writers)
+			if err != nil {
+				return err
 			}
+			rep.Cells = append(rep.Cells, cell)
+			fmt.Printf("  durable=%-5v writers=%-3d %9.0f reports/s  p50 %6.0fµs p99 %6.0fµs p999 %6.0fµs\n",
+				durable, writers, cell.OpsPerSec, cell.P50Usec, cell.P99Usec, cell.P999Usec)
 		}
 	}
-	for _, writers := range []int{1, 4, 16, 64} {
-		d := tput[fmt.Sprintf("direct/true/%d", writers)]
-		c := tput[fmt.Sprintf("coalesced/true/%d", writers)]
-		if d > 0 {
-			rep.DurableSpeedup[fmt.Sprintf("%d", writers)] = c / d
-		}
-	}
-	fmt.Printf("\n  durable coalesced/direct speedup: 1w %.2fx, 4w %.2fx, 16w %.2fx, 64w %.2fx\n",
-		rep.DurableSpeedup["1"], rep.DurableSpeedup["4"], rep.DurableSpeedup["16"], rep.DurableSpeedup["64"])
-
-	// The dwell-window tail bound: with a window that dominates the store's
-	// intrinsic tail jitter (which the saturated cells above put in the
-	// low milliseconds), p99 must sit within ~2x of the window — one full
-	// dwell for the batch you ride plus the batch's apply, never an unbounded
-	// queue wait. The off-cadence arrival rate makes this the latency-SLO
-	// configuration rather than the throughput one.
-	const dwell = 5 * time.Millisecond
-	wcells, err := repeatCell("coalesced", false, 16, dwell)
-	if err != nil {
-		return err
-	}
-	sort.Slice(wcells, func(i, j int) bool { return wcells[i].P99Usec < wcells[j].P99Usec })
-	wc := wcells[len(wcells)/2]
-	rep.WindowedCell = &wc
-	rep.WindowedP99Ratio = wc.P99Usec / float64(dwell.Microseconds())
-	fmt.Printf("  windowed cell (%v dwell, 16 writers, in-memory): p99 %.0fµs = %.2fx window, avg batch %.1f\n",
-		dwell, wc.P99Usec, rep.WindowedP99Ratio, wc.AvgBatch)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

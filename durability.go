@@ -183,11 +183,6 @@ func (s *Store) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Drain the write coalescer first: every Report acknowledged before
-	// this point must reach the log before it is flushed and closed.
-	// (Reports that race Close past this barrier fail on the closed log,
-	// exactly like direct writes racing Close.)
-	s.coalFlush()
 	if d.scrubStop != nil {
 		close(d.scrubStop)
 		<-d.scrubDone
@@ -252,8 +247,8 @@ func (s *Store) durableApply(t wal.Type, encode func(dst []byte) []byte, apply f
 
 // durableReport is durableApply specialized to Report, the hot verb: the
 // encode step is inlined over the pooled buffer and the apply half is a
-// direct call instead of a per-call closure, so the uncoalesced
-// single-record path allocates nothing per record in steady state.
+// direct call instead of a per-call closure, so the single-record path
+// allocates nothing per record in steady state.
 func (s *Store) durableReport(o Object) (bool, error) {
 	d := s.dur
 	if d == nil || d.recovering.Load() {
@@ -454,14 +449,6 @@ type DurabilityStats struct {
 	// policy across the live buffer pools and the log — faults the clients
 	// never saw.
 	IORetries int64
-	// CoalescedBatches / CoalescedRecords / FlushBarriers mirror the write
-	// coalescer's counters (see WithWriteCoalescing and Store.IngestStats):
-	// drained batches, the Reports they carried, and the flush-barrier
-	// waits run by the non-Report write verbs, Checkpoint, and Close. All
-	// zero when coalescing is off.
-	CoalescedBatches int64
-	CoalescedRecords int64
-	FlushBarriers    int64
 }
 
 // DurabilityStats returns the durable-mode counters, and whether the Store
@@ -478,7 +465,6 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 	s.healthMu.Lock()
 	reason := s.healthReason
 	s.healthMu.Unlock()
-	ing, _ := s.IngestStats()
 	return DurabilityStats{
 		WALAppendedLSN:       d.wal.AppendedLSN(),
 		WALDurableLSN:        d.wal.DurableLSN(),
@@ -498,9 +484,6 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 		ScrubPasses:          d.scrubPasses.Load(),
 		ScrubCorruptions:     d.scrubCorrupt.Load(),
 		IORetries:            retries,
-		CoalescedBatches:     ing.CoalescedBatches,
-		CoalescedRecords:     ing.CoalescedRecords,
-		FlushBarriers:        ing.FlushBarriers,
 	}, true
 }
 
@@ -563,13 +546,6 @@ func (s *Store) Checkpoint() error {
 	if Health(s.health.Load()) == HealthFailed {
 		return s.healthErr(ErrFailed)
 	}
-	// Flush barrier: drain every Report enqueued before this call, so the
-	// capture's coverage is deterministic with respect to the queue. (A
-	// drain can never be split by the capture either way — it holds the
-	// commit lock's read side across its apply and its append — so this is
-	// the same cross-verb ordering rule the other barriers enforce, not a
-	// consistency requirement.)
-	s.coalFlush()
 	ck, err := s.checkpointLocked(d)
 	ev := MaintenanceEvent{Op: MaintCheckpoint, Err: err, SampleSize: len(ck.objects), Swapped: err == nil}
 	s.recordMaintenance(ev)

@@ -51,6 +51,19 @@ func TestDurableStoreRecoversState(t *testing.T) {
 		}
 		live[o.ID] = o
 	}
+	// Re-report a subset with repeated IDs: each later report must win and
+	// be visible as soon as Report returns.
+	for i := 1; i <= 40; i++ {
+		o := testObject(i%25+1, rng)
+		o.T = float64(i)
+		if err := store.Report(o); err != nil {
+			t.Fatalf("re-report %d: %v", i, err)
+		}
+		if got, ok := store.Get(o.ID); !ok || got != o {
+			t.Fatalf("re-report %d not visible at return: got %+v ok=%v", i, got, ok)
+		}
+		live[o.ID] = o
+	}
 	for _, id := range []vpindex.ObjectID{7, 21, 40} {
 		if err := store.Remove(id); err != nil {
 			t.Fatalf("remove %d: %v", id, err)

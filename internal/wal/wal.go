@@ -10,12 +10,13 @@
 // named by the LSN of their first byte, so a record's position never changes
 // when older segments are reclaimed.
 //
-// Commit implements group commit: the caller that wins the flush lock
-// fsyncs everything appended so far and every waiter whose record the flush
-// covered returns without issuing its own fsync ("followers ride the
-// leader's fsync"). A GroupCommit window makes the leader dwell briefly
-// before flushing so concurrent appenders can pile on; SyncNone acknowledges
-// without any fsync and trades the WAL tail for throughput.
+// Commit implements group commit: one caller at a time is the flush leader
+// and fsyncs everything appended so far; when its fsync ends, every waiter
+// whose record the flush covered returns without issuing its own fsync
+// ("followers ride the leader's fsync"). A GroupCommit window makes the
+// leader dwell briefly before flushing so concurrent appenders can pile on;
+// SyncNone acknowledges without any fsync and trades the WAL tail for
+// throughput.
 package wal
 
 import (
@@ -23,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -141,9 +143,13 @@ type WAL struct {
 	failed   bool       // a write error poisoned the active segment
 	sealed   []*os.File // rotated-out, not yet fsynced files (SyncNone only)
 
-	flushMu sync.Mutex // the group-commit leader lock
-	syncMu  sync.Mutex // serializes fsync with segment close (rotation)
-	durable atomic.Uint64
+	// flushing is set while a group-commit leader (Commit or Sync) owns the
+	// flush; flushed is broadcast, under flushMu, when its turn ends.
+	flushMu  sync.Mutex
+	flushed  sync.Cond
+	flushing bool
+	syncMu   sync.Mutex // serializes fsync with segment close (rotation)
+	durable  atomic.Uint64
 
 	retries atomic.Int64  // transient-fault retry attempts taken
 	corrupt *CorruptError // mid-log corruption found at Open, if any
@@ -164,6 +170,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{dir: dir, opt: opt}
+	w.flushed.L = &w.flushMu
 	if n := len(segs); n > 0 {
 		last := segs[n-1]
 		valid, resync, err := scanTail(last.path)
@@ -354,55 +361,72 @@ func (w *WAL) fsync(f *os.File) error {
 
 // Commit blocks until the record ending at lsn is durable under the
 // configured policy. Concurrent callers elect a flush leader; everyone whose
-// record the leader's fsync covered returns without syncing (group commit).
+// record the leader's fsync covered returns as soon as that fsync ends,
+// without syncing (group commit). A caller the fsync did not cover — its
+// record was appended after the leader captured its target — leads the next
+// flush. If a leader's fsync fails it returns the error, and a waiter takes
+// over the next attempt.
 func (w *WAL) Commit(lsn uint64) error {
 	if w.opt.Policy.Mode == SyncNone {
 		return nil
 	}
-	for {
-		if w.durable.Load() >= lsn {
-			return nil
-		}
-		w.flushMu.Lock()
-		if w.durable.Load() >= lsn {
-			w.flushMu.Unlock()
-			return nil
-		}
+	for w.lead(lsn) {
 		if w.opt.Policy.Mode == SyncGroup && w.opt.Policy.Window > 0 {
 			time.Sleep(w.opt.Policy.Window)
 		}
-		w.mu.Lock()
-		target := w.appended
-		f := w.f
-		w.mu.Unlock()
-		if f == nil {
-			w.flushMu.Unlock()
-			return fmt.Errorf("wal: closed")
-		}
-		// syncMu keeps rotation from closing f out from under the fsync: if
-		// a rotation slipped in after the capture it already advanced
-		// durable past target (it fsyncs before closing), and the re-check
-		// skips the stale file.
-		w.syncMu.Lock()
-		var err error
-		if w.durable.Load() < target {
-			if err = w.fsync(f); err == nil {
-				w.durable.Store(target)
-			}
-		}
-		w.syncMu.Unlock()
-		w.flushMu.Unlock()
+		err := w.flush()
+		w.endFlush()
 		if err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// lead waits until either lsn is durable (false) or no flush leader is
+// active, in which case the caller becomes the leader (true) and must call
+// endFlush when its turn is over.
+func (w *WAL) lead(lsn uint64) bool {
+	if w.durable.Load() >= lsn {
+		return false
+	}
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	// Re-check durability on every wakeup, before looking at flushing: the
+	// leader that just ended may have covered lsn even if another waiter
+	// has already taken the next turn.
+	for w.durable.Load() < lsn {
+		if !w.flushing {
+			w.flushing = true
+			return true
+		}
+		w.flushed.Wait()
+	}
+	return false
+}
+
+// endFlush ends a leader's turn and wakes every waiter, whether the fsync
+// succeeded (the ones it covered return) or failed (one of them leads next).
+func (w *WAL) endFlush() {
+	w.flushMu.Lock()
+	w.flushing = false
+	w.flushed.Broadcast()
+	w.flushMu.Unlock()
 }
 
 // Sync forces everything appended so far durable regardless of policy,
-// including segments rotated out under SyncNone.
+// including segments rotated out under SyncNone. It takes a leader's turn:
+// no LSN is ever durable past math.MaxUint64, so lead always returns true.
 func (w *WAL) Sync() error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
+	w.lead(math.MaxUint64)
+	defer w.endFlush()
+	return w.flush()
+}
+
+// flush is a flush leader's work: fsync every rotated-out segment still
+// pending (there are none under a syncing policy, where rotation fsyncs)
+// and the active segment up to everything appended so far.
+func (w *WAL) flush() error {
 	w.mu.Lock()
 	target := w.appended
 	f := w.f
@@ -412,6 +436,10 @@ func (w *WAL) Sync() error {
 	if f == nil {
 		return fmt.Errorf("wal: closed")
 	}
+	// syncMu keeps rotation from closing f out from under the fsync: if a
+	// rotation slipped in after the capture it already advanced durable past
+	// target (it fsyncs before closing), and the re-check skips the stale
+	// file.
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	for _, s := range sealed {

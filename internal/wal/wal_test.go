@@ -251,6 +251,63 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	}
 }
 
+// TestGroupCommitReleasesCoveredFollowers: a follower whose record the
+// current leader's fsync covers returns when that fsync ends — it never
+// waits through a second flush led by a committer the fsync did not cover,
+// even when that committer queued first.
+func TestGroupCommitReleasesCoveredFollowers(t *testing.T) {
+	const fsyncDelay = 50 * time.Millisecond
+	fi := storage.NewScriptedInjector(
+		storage.FaultRule{Op: storage.OpWALSync, Kind: storage.FaultLatency, Latency: fsyncDelay},
+	)
+	w, err := Open(t.TempDir(), Options{Policy: Always(), Injector: fi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	commit := func(lsn uint64) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- w.Commit(lsn) }()
+		return done
+	}
+	// Leader A: its fsync captures r1 and then sleeps in the injector.
+	r1 := appendRecord(t, w, TypeReport, []byte("r1"))
+	aDone := commit(r1)
+	time.Sleep(fsyncDelay / 5)
+	// C: r2 lands after A's capture, so C needs a flush of its own; it
+	// queues while A is still syncing.
+	r2 := appendRecord(t, w, TypeReport, []byte("r2"))
+	cDone := commit(r2)
+	time.Sleep(fsyncDelay / 5)
+	// B: commits r1, which A's in-flight fsync already covers. B must not
+	// wait for C's flush, so when B returns r2 is not yet durable.
+	var bDurable uint64
+	bDone := make(chan error, 1)
+	go func() {
+		err := w.Commit(r1)
+		bDurable = w.DurableLSN()
+		bDone <- err
+	}()
+	for name, done := range map[string]<-chan error{"A": aDone, "B": bDone} {
+		if err := <-done; err != nil {
+			t.Fatalf("%s: Commit: %v", name, err)
+		}
+	}
+	if bDurable < r1 {
+		t.Fatalf("B returned with DurableLSN %d < its record %d", bDurable, r1)
+	}
+	if bDurable >= r2 {
+		t.Fatalf("B returned only after C's flush (DurableLSN %d >= %d): a covered follower waited out the next leader's fsync", bDurable, r2)
+	}
+	if err := <-cDone; err != nil {
+		t.Fatalf("C: Commit: %v", err)
+	}
+	if w.DurableLSN() < r2 {
+		t.Fatalf("C returned with DurableLSN %d < its record %d", w.DurableLSN(), r2)
+	}
+}
+
 func TestSyncNoneCommitDoesNotFsync(t *testing.T) {
 	dir := t.TempDir()
 	fi := storage.NewFaultInjector(1) // the very first sync point kills

@@ -92,13 +92,8 @@ type Store struct {
 	// nil unless WithDataDir was given. See durability.go.
 	dur *durability
 
-	// coal is the leader-drained write coalescer; nil unless
-	// WithWriteCoalescing was given. See ingest.go.
-	coal *coalescer
-
-	// scratchPool recycles the per-shard grouping scratch of the batched
-	// write paths (applyReportBatch, the coalescer drain), so a steady
-	// stream of batches allocates no per-batch slices.
+	// scratchPool recycles the per-shard grouping scratch of ReportBatch,
+	// so a steady stream of batches allocates no per-batch slices.
 	scratchPool sync.Pool
 
 	// pools tracks every live buffer pool (one per shard staging index, one
@@ -400,9 +395,6 @@ func Open(opts ...Option) (*Store, error) {
 				sh.sample = make([]Vec2, 0, cfg.autoN/len(s.shards)+1)
 			}
 		}
-	}
-	if cfg.coalesce {
-		s.coal = newCoalescer(s, cfg.coalWindow, cfg.coalMax)
 	}
 	if s.dur != nil {
 		if err := s.recover(); err != nil {
@@ -984,14 +976,6 @@ func (s *Store) noteReports(n int) {
 // is applied and reports its outcome through LastMaintenanceError and the
 // maintenance hook instead.
 func (s *Store) Report(o Object) error {
-	// With WithWriteCoalescing on, concurrent Reports are drained in
-	// batches by an elected leader (see ingest.go); recovery replay
-	// bypasses the coalescer — replayed records must apply inline.
-	if c := s.coal; c != nil {
-		if d := s.dur; d == nil || !d.recovering.Load() {
-			return c.report(o)
-		}
-	}
 	trip, err := s.durableReport(o)
 	if err != nil {
 		return err
@@ -1043,10 +1027,6 @@ func (s *Store) ReportBatch(objs []Object) error {
 	if len(objs) == 0 {
 		return nil
 	}
-	// An explicit batch is a flush barrier for the coalescer: Reports
-	// enqueued before this call are acknowledged first, so per-object
-	// ordering across the two paths cannot invert.
-	s.coalFlush()
 	d := s.dur
 	if d == nil || d.recovering.Load() {
 		sc := s.getBatchScratch()
@@ -1057,24 +1037,16 @@ func (s *Store) ReportBatch(objs []Object) error {
 	return s.reportBatchDurable(d, objs)
 }
 
-// batchScratch is the pooled per-shard scratch behind the batched write
-// paths: the shard-grouped records, the applied-prefix counts, the per-shard
-// first errors, the eval slices handed to the subscription engine (and the
-// WAL encoder on the durable path), plus the coalescer's flattened batch and
-// attribution cursors. The group slices are owned by the scratch — records
-// are always copied in, never aliased to caller memory — so returning a
-// scratch to the pool keeps its capacity without capturing caller slices.
+// batchScratch is the pooled per-shard scratch behind ReportBatch: the
+// shard-grouped records, the applied-prefix counts, and the eval slices
+// handed to the subscription engine (and the WAL encoder on the durable
+// path). The group slices are owned by the scratch — records are always
+// copied in, never aliased to caller memory — so returning a scratch to the
+// pool keeps its capacity without capturing caller slices.
 type batchScratch struct {
 	groups  [][]Object
 	eval    [][]Object
 	applied []int
-	errs    []error
-	cursor  []int
-	objs    []Object
-	// slots is the coalescer's drained batch: it lives in the scratch (not
-	// on the coalescer) so pipelined drains — one batch in its sync wait
-	// while the next applies — never share a backing array.
-	slots []*pendingSlot
 }
 
 // getBatchScratch hands out a scratch sized to the shard count (the count is
@@ -1087,8 +1059,6 @@ func (s *Store) getBatchScratch() *batchScratch {
 			groups:  make([][]Object, n),
 			eval:    make([][]Object, n),
 			applied: make([]int, n),
-			errs:    make([]error, n),
-			cursor:  make([]int, n),
 		}
 	}
 	return sc
@@ -1101,24 +1071,16 @@ func (s *Store) putBatchScratch(sc *batchScratch) {
 		sc.groups[i] = sc.groups[i][:0]
 		sc.eval[i] = nil
 		sc.applied[i] = 0
-		sc.errs[i] = nil
-		sc.cursor[i] = 0
 	}
-	sc.objs = sc.objs[:0]
-	for i := range sc.slots {
-		sc.slots[i] = nil
-	}
-	sc.slots = sc.slots[:0]
 	s.scratchPool.Put(sc)
 }
 
 // applyReportBatch is ReportBatch's in-memory half. It fills sc with the
 // per-shard groups of records that actually landed (sc.eval — exactly what
 // must be logged, since on a partial failure the applied records stay
-// applied; sc.applied/sc.errs carry the per-shard applied-prefix bookkeeping
-// the coalescer attributes per-record errors from) and returns the number of
-// post-partition reports, whether the batch tripped the bootstrap threshold,
-// and the first error.
+// applied; sc.applied counts each shard's applied prefix) and returns the
+// number of post-partition reports, whether the batch tripped the bootstrap
+// threshold, and the first error.
 func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int, trip bool, err error) {
 	groups := sc.groups
 	if len(s.shards) == 1 {
@@ -1157,16 +1119,14 @@ func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int,
 			nReported.Add(int64(n))
 			applied[i] = n
 			if err != nil {
-				sc.errs[i] = fmt.Errorf("vpindex: batch report: %w", err)
-				return sc.errs[i]
+				return fmt.Errorf("vpindex: batch report: %w", err)
 			}
 			return nil
 		}
 		for _, o := range group {
 			t, err := s.reportShardLocked(sh, o)
 			if err != nil {
-				sc.errs[i] = fmt.Errorf("vpindex: batch report of object %d: %w", o.ID, err)
-				return sc.errs[i]
+				return fmt.Errorf("vpindex: batch report of object %d: %w", o.ID, err)
 			}
 			applied[i]++
 			if t {
@@ -1177,7 +1137,6 @@ func (s *Store) applyReportBatch(objs []Object, sc *batchScratch) (reported int,
 	}
 	for i := range groups {
 		applied[i] = 0
-		sc.errs[i] = nil
 	}
 	// Write fan-out is bounded by GOMAXPROCS, independent of the query
 	// knob WithSearchParallelism: the final state is identical whatever
@@ -1218,9 +1177,6 @@ func (s *Store) finishReportBatch(reported int, trip bool, err error) error {
 // no such object is indexed. The object leaves every subscription result
 // set it was in (evaluated after the shard lock is released).
 func (s *Store) Remove(id ObjectID) error {
-	// Flush barrier: a coalesced Report of id enqueued before this call
-	// must land first, or the removal could be resurrected by it.
-	s.coalFlush()
 	return s.durableApplyRemove(id)
 }
 

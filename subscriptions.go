@@ -338,9 +338,8 @@ func (e *subEngine) noteBatch(groups [][]Object) {
 		return
 	}
 	now := e.advance(tmax)
-	// The per-shard delta slices are pooled batch to batch (the coalescer
-	// turns every drained batch into one of these calls, so this is on the
-	// sustained ingest path); only the merged slices below are per-call.
+	// The per-shard delta slices are pooled batch to batch; only the merged
+	// slices below are per-call.
 	sc, _ := e.notePool.Get().(*noteScratch)
 	if sc == nil || len(sc.per) != len(groups) {
 		sc = &noteScratch{
